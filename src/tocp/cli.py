@@ -42,7 +42,8 @@ def _parse_grid(spec: str) -> list[float]:
     if step <= 0 or b < a:
         raise ValueError("grid must be a:b:step with step > 0 and b >= a")
     n = int(round((b - a) / step))
-    return [a + i * step for i in range(n + 1)]
+    # rounded so that accumulated float error (0.30000000000000004) never shows
+    return [round(a + i * step, 12) for i in range(n + 1)]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

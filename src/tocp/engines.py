@@ -6,18 +6,31 @@ touches one event at a time, which is too slow for estimators that need
 property of the per-vertex Poisson clocks: merged over a graph with V
 vertices, events arrive as a single Poisson stream of rate
 ``V * (1 + lam)`` whose marks are an independent uniform vertex and an
-infect/heal flag with infect probability ``lam / (1 + lam)``.  Replicas
-are then advanced in lock step, one event per replica per pass, with all
-per-event work done by numpy over the replica axis.
+infect/heal flag with infect probability ``lam / (1 + lam)``.
 
-For the spin and counting processes the state at an observation time
-depends only on the event *sequence*, so event counts per observation
-interval are drawn Poisson and no event times are generated at all.
-The real-valued process needs times for its drift and keeps them.
+One private lock-step kernel advances the replicas of all three
+lock-step engines, one event per replica per pass, with the per-event
+work done by numpy over the replica axis.  The engines differ only in
+how an infect event folds the closed neighbourhood of its vertex (the
+vertex itself and its neighbours): the maximum for the spin process
+(eta), the sum for the counting process (xi) and the float64 sum for
+the real process (zeta).  The zeta drift multiplies every coordinate by
+the same factor ``exp((1 - 2*lam*d) * dt)`` on a 2d-regular graph, so it
+commutes with the sum and with healing: zeta at time t is
+``exp((1 - 2*lam*d) * t)`` times the drift-free sum.  The state at an
+observation time therefore depends only on the event *sequence*, so
+event counts per observation interval are drawn Poisson and no event
+times are generated at all.  Replicas whose configuration is all-zero
+(absorbing for every rule) are retired, and a block stops as soon as
+none is left.
 
 Determinism: given the same ``(graph, lam, obs, n_replicas, seed)`` the
 output is reproducible; replica blocks derive their generators from
-``SeedSequence(seed, spawn_key=(block_index,))``.
+``SeedSequence(seed, spawn_key=(block_index,))``.  The random draws do
+not depend on the rule, so the engines share their random numbers: with
+equal arguments ``spin_replicas`` equals ``counts_replicas > 0`` replica
+by replica, and ``reals_replicas`` equals the counting values times
+``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
 
 Agreement with the schedule-driven reference dynamics is established
 statistically in the test suite; couplings that need *shared* clocks
@@ -37,20 +50,18 @@ __all__ = [
     "branching_replicas",
 ]
 
-_XI_GUARD = 1 << 60  # counting values beyond this abort the int64 fast path
+# State cells per replica block, whatever the rule (so that every rule draws
+# the same random numbers).  Blocks far past the L2 cache measured slower per
+# event; smaller ones pay more per-pass overhead.
+_BLOCK_CELLS = 4 * 1024 * 1024
+_CHUNK_CELLS = 256 * 1024  # gather indices prepared ahead (2 MB of int64)
+# From this many active rows on, a pass gathers neighbourhoods for infect
+# rows only; below it one branch-free gather over all rows needs fewer calls.
+_SPLIT_ROWS = 1024
 
-_BLOCK_BYTES = 256 * 1024 * 1024
 
-
-def _block_size(n_replicas: int, n_vertices: int, itemsize: int, arrays: int = 1) -> int:
-    per_replica = (n_vertices + 1) * itemsize * arrays
-    b = int(_BLOCK_BYTES // max(per_replica, 1))
-    return max(256, min(n_replicas, b))
-
-
-def _padded_neighbors(graph: FiniteGraph):
-    """(V, width) int64 neighbour matrix padded with the phantom index V."""
-    return graph.nbr.astype(np.int64, copy=False), graph.n_vertices
+def _block_size(n_replicas: int, n_vertices: int) -> int:
+    return max(256, min(n_replicas, _BLOCK_CELLS // (n_vertices + 1)))
 
 
 def _check_obs(obs_times) -> np.ndarray:
@@ -63,7 +74,134 @@ def _check_obs(obs_times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spin process (eta)
+# lock-step kernel
+
+
+def _closed_neighbourhoods(graph: FiniteGraph) -> np.ndarray:
+    """C-ordered ``(max_degree + 1, V)`` table: each vertex, then its
+    neighbours padded with the phantom index V."""
+    own = np.arange(graph.n_vertices, dtype=np.int64)
+    return np.ascontiguousarray(np.vstack([own, graph.nbr.T]), dtype=np.int64)
+
+
+def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, initial=None):
+    """Value at ``observe_vertex``, of shape ``(len(obs), n_replicas)``.
+
+    ``fold`` (``np.maximum`` or ``np.add``) combines the closed
+    neighbourhood at an infect event; a heal event sets the vertex to 0.
+    Integer sums are guarded: every stored value stays at or below
+    ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices, so no
+    sum can wrap, and a larger result raises ``RuntimeError``.
+    """
+    cn = _closed_neighbourhoods(graph)
+    w, V = cn.shape
+    stride = V + 1
+    rate, p_inf = V * (1.0 + lam), lam / (1.0 + lam)
+    headroom = None
+    if fold is np.add and np.issubdtype(dtype, np.integer):
+        headroom = np.iinfo(dtype).max // w
+    out = np.zeros((len(obs), n_replicas), dtype=dtype)
+    bs = _block_size(n_replicas, V)
+    # Chunk work arrays, made once: large temporaries freed and made again on
+    # every chunk or pass let the allocator return memory and fault it back in.
+    rows = min(bs, n_replicas)
+    n_draw = max(_CHUNK_CELLS // w, rows)
+    work_arrays = (
+        np.empty(n_draw), np.empty(n_draw, dtype=np.int64), np.empty(n_draw, dtype=bool),
+        np.empty(max(_CHUNK_CELLS, w * rows), dtype=np.int64), np.empty(w * rows, dtype=dtype),
+    )
+    for blk, lo in enumerate(range(0, n_replicas, bs)):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
+        )
+        state = np.zeros((min(bs, n_replicas - lo), stride), dtype=dtype)
+        state[:, :V] = 1 if initial is None else np.asarray(initial, dtype=dtype)
+        flat = state.reshape(-1)
+        off = np.flatnonzero(state.any(axis=1)) * stride  # live rows, as offsets
+        prev_t, work = 0.0, 0
+        for j, t_obs in enumerate(obs):
+            if len(off) == 0:
+                break
+            if t_obs > prev_t:
+                n_ev = rng.poisson(rate * (t_obs - prev_t), size=len(off))
+                # sorted by event count, the rows still active at pass s are a prefix
+                order = np.argsort(-n_ev, kind="stable")
+                off, neg = off[order], -n_ev[order]
+                s = 0
+                while len(off) and (k := int(np.searchsorted(neg, -s))):
+                    # passes until the prefix shrinks, within the index buffer
+                    c = int(min(max(1, _CHUNK_CELLS // (w * k)), -neg[k - 1] - s))
+                    _passes(flat, cn, off[:k], c, rng, p_inf, fold, headroom, work_arrays)
+                    s += c
+                    work += c * k
+                    # retire all-zero rows: a scan of the block once per as many
+                    # row events costs about one sequential cell read per event
+                    if work >= state.size:
+                        work = 0
+                        alive = state.any(axis=1)[off // stride]
+                        off, neg = off[alive], neg[alive]
+            prev_t = t_obs
+            out[j, lo + off // stride] = flat[off + observe_vertex]
+    return out
+
+
+def _passes(flat, cn, off, c, rng, p_inf, fold, headroom, work_arrays):
+    """Run ``c`` passes; each applies one event to every row ``i``, at ``flat[off[i]:]``.
+
+    A uniform ``r`` marks an event: vertex ``floor(r * V)``, infect when
+    the fractional part is below ``p_inf``.
+    """
+    w, V = cn.shape
+    k = len(off)
+    r_buf, u_buf, hit_buf, idx_buf, val_buf = work_arrays
+    r = rng.random(out=r_buf[: c * k].reshape(c, k))
+    r *= V
+    u = u_buf[: c * k].reshape(c, k)
+    np.copyto(u, r, casting="unsafe")
+    r -= u
+    infect = np.less(r, p_inf, out=hit_buf[: c * k].reshape(c, k))
+    if k < _SPLIT_ROWS:
+        # fold every row's neighbourhood, then zero the heal rows
+        gather = idx_buf[: c * w * k].reshape(c, w, k)
+        np.add(u, off, out=gather[:, 0])
+        column = r_buf.view(np.int64)[: c * k].reshape(c, k)  # r is spent
+        for i in range(1, w):
+            cn[i].take(u, out=column, mode="clip")  # a strided out would be buffered
+            np.add(column, off, out=gather[:, i])
+        vals = val_buf[: w * k].reshape(w, k)
+        new = np.empty(k, dtype=flat.dtype)
+        for p in range(c):
+            g = gather[p]
+            flat.take(g, out=vals, mode="clip")
+            fold.reduce(vals, axis=0, out=new)
+            new *= infect[p]
+            _guard(new, headroom)
+            flat[g[0]] = new
+    else:
+        u += off  # from here on, each event's position in flat
+        for p in range(c):
+            ii = np.flatnonzero(infect[p])
+            base = off.take(ii)
+            g = idx_buf[: w * len(ii)].reshape(w, -1)
+            cn.take(u[p].take(ii) - base, axis=1, out=g, mode="clip")
+            g += base
+            vals = flat.take(g, out=val_buf[: g.size].reshape(g.shape), mode="clip")
+            new = fold.reduce(vals, axis=0)
+            _guard(new, headroom)
+            flat[u[p]] = 0
+            flat[g[0]] = new
+
+
+def _guard(new, headroom):
+    if headroom is not None and new.max(initial=0) > headroom:
+        raise RuntimeError(
+            "counting values exceeded the int64 headroom; "
+            "use the exact schedule-driven run instead"
+        )
+
+
+# ---------------------------------------------------------------------------
+# public engines
 
 
 def spin_replicas(
@@ -82,74 +220,8 @@ def spin_replicas(
     Replicas whose configuration hits all-zero are retired early (the
     state is absorbing).
     """
-    obs = _check_obs(obs_times)
-    NBR, V = _padded_neighbors(graph)
-    p_inf = lam / (1.0 + lam)
-    rate = V * (1.0 + lam)
-    out = np.zeros((len(obs), n_replicas), dtype=np.uint8)
-    bs = _block_size(n_replicas, V, 1)
-    n_blocks = (n_replicas + bs - 1) // bs
-    for blk in range(n_blocks):
-        lo, hi = blk * bs, min((blk + 1) * bs, n_replicas)
-        B = hi - lo
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
-        )
-        state = np.empty((B, V + 1), dtype=np.uint8)
-        if initial is None:
-            state[:, :V] = 1
-        else:
-            state[:, :V] = np.asarray(initial, dtype=np.uint8)[None, :]
-        state[:, V] = 0
-        flat = state.reshape(-1)
-        orig = np.arange(lo, hi, dtype=np.int64)
-        inf_cnt = state[:, :V].sum(axis=1, dtype=np.int64)
-        prev_t = 0.0
-        for j, t_obs in enumerate(obs):
-            dt = t_obs - prev_t
-            prev_t = t_obs
-            if dt > 0 and len(orig) > 0:
-                n_ev = rng.poisson(rate * dt, size=len(orig))
-                max_ev = int(n_ev.max()) if len(n_ev) else 0
-                rowbase = np.arange(len(orig), dtype=np.int64) * (V + 1)
-                for step in range(max_ev):
-                    act = np.flatnonzero(n_ev > step)
-                    r = rng.random(len(orig))
-                    ru = r[act] * V
-                    u = ru.astype(np.int64)
-                    is_inf = (ru - u) < p_inf
-                    hr = act[~is_inf]
-                    pos_h = rowbase[hr] + u[~is_inf]
-                    old = flat[pos_h]
-                    flat[pos_h] = 0
-                    inf_cnt[hr] -= old  # one event per replica: indices unique
-                    ir = act[is_inf]
-                    ui = u[is_inf]
-                    pos_i = rowbase[ir] + ui
-                    old_i = flat[pos_i]
-                    grew = flat[rowbase[ir][:, None] + NBR[ui]].max(axis=1)
-                    newv = old_i | grew
-                    flat[pos_i] = newv
-                    inf_cnt[ir] += (newv - old_i).astype(np.int64)
-                    # drop extinct replicas every so often: all-zero is absorbing
-                    if step % 512 == 511:
-                        dead = inf_cnt == 0
-                        if dead.mean() > 0.25:
-                            keep = ~dead
-                            state = np.ascontiguousarray(state[keep])
-                            flat = state.reshape(-1)
-                            orig = orig[keep]
-                            n_ev = n_ev[keep]
-                            inf_cnt = inf_cnt[keep]
-                            rowbase = np.arange(len(orig), dtype=np.int64) * (V + 1)
-            if len(orig) > 0:
-                out[j, orig] = state[:, observe_vertex]
-        del state, flat
-    return out
-
-
-# ---------------------------------------------------------------------------
-# counting process (xi)
+    return _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas,
+                     seed, np.maximum, np.uint8, initial)
 
 
 def counts_replicas(
@@ -162,60 +234,17 @@ def counts_replicas(
 ) -> np.ndarray:
     """Counting-process value at ``observe_vertex`` across replicas.
 
-    Starts from all ones.  Values are int64 with a guard at 2**60; the
-    guard trips only in astronomically unlikely tails at the horizons
-    this engine is used for (use the schedule-driven exact-integer path
-    for long horizons).  Returns shape ``(len(obs_times), n_replicas)``.
+    Starts from all ones.  Values are int64, kept at or below
+    ``iinfo(int64).max // (max_degree + 1)`` so no neighbourhood sum can
+    wrap; a replica that would exceed it raises ``RuntimeError``.  The
+    mean grows like ``exp(t * (2*d*lam - 1))`` on a 2d-regular graph, so
+    supercritical horizons do trip it (``torus(4, 3)`` at ``lam = 1``,
+    ``t = 6`` does with 1000 replicas); use the schedule-driven
+    exact-integer path for those.  Returns shape
+    ``(len(obs_times), n_replicas)``.
     """
-    obs = _check_obs(obs_times)
-    NBR, V = _padded_neighbors(graph)
-    p_inf = lam / (1.0 + lam)
-    rate = V * (1.0 + lam)
-    out = np.zeros((len(obs), n_replicas), dtype=np.int64)
-    bs = _block_size(n_replicas, V, 8)
-    n_blocks = (n_replicas + bs - 1) // bs
-    for blk in range(n_blocks):
-        lo, hi = blk * bs, min((blk + 1) * bs, n_replicas)
-        B = hi - lo
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
-        )
-        state = np.ones((B, V + 1), dtype=np.int64)
-        state[:, V] = 0
-        flat = state.reshape(-1)
-        rowbase = np.arange(B, dtype=np.int64) * (V + 1)
-        prev_t = 0.0
-        for j, t_obs in enumerate(obs):
-            dt = t_obs - prev_t
-            prev_t = t_obs
-            if dt > 0:
-                n_ev = rng.poisson(rate * dt, size=B)
-                for step in range(int(n_ev.max()) if B else 0):
-                    act = np.flatnonzero(n_ev > step)
-                    r = rng.random(B)
-                    ru = r[act] * V
-                    u = ru.astype(np.int64)
-                    is_inf = (ru - u) < p_inf
-                    flat[rowbase[act[~is_inf]] + u[~is_inf]] = 0
-                    ir = act[is_inf]
-                    ui = u[is_inf]
-                    if len(ir):
-                        add = flat[rowbase[ir][:, None] + NBR[ui]].sum(axis=1)
-                        pos = rowbase[ir] + ui
-                        newv = flat[pos] + add
-                        flat[pos] = newv
-                        if int(newv.max()) > _XI_GUARD:
-                            raise RuntimeError(
-                                "counting values exceeded the int64 guard; "
-                                "use the exact schedule-driven run instead"
-                            )
-            out[j, lo:hi] = state[:, observe_vertex]
-        del state, flat
-    return out
-
-
-# ---------------------------------------------------------------------------
-# real-valued process (zeta)
+    return _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas,
+                     seed, np.add, np.int64)
 
 
 def reals_replicas(
@@ -230,74 +259,14 @@ def reals_replicas(
     """Drift-corrected real value at ``observe_vertex`` across replicas.
 
     Starts from all ones; between events every coordinate decays or
-    grows by ``exp((1 - 2*lam*d_param) * dt)``, applied lazily.  Returns
-    float64 of shape ``(len(obs_times), n_replicas)``.
+    grows by ``exp((1 - 2*lam*d_param) * dt)``.  Returns float64 of shape
+    ``(len(obs_times), n_replicas)``.
     """
     obs = _check_obs(obs_times)
     if not graph.is_regular() or graph.deg[0] != 2 * d_param:
         raise ValueError("zeta dynamics require a 2d-regular graph")
-    NBR, V = _padded_neighbors(graph)
-    p_inf = lam / (1.0 + lam)
-    rate = V * (1.0 + lam)
-    c = 1.0 - 2.0 * lam * d_param
-    n_obs = len(obs)
-    out = np.zeros((n_obs, n_replicas), dtype=np.float64)
-    bs = _block_size(n_replicas, V, 8, arrays=2)
-    n_blocks = (n_replicas + bs - 1) // bs
-    for blk in range(n_blocks):
-        lo, hi = blk * bs, min((blk + 1) * bs, n_replicas)
-        B = hi - lo
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
-        )
-        val = np.ones((B, V + 1), dtype=np.float64)
-        val[:, V] = 0.0
-        lu = np.zeros((B, V + 1), dtype=np.float64)
-        vflat = val.reshape(-1)
-        lflat = lu.reshape(-1)
-        rowbase = np.arange(B, dtype=np.int64) * (V + 1)
-        t = np.zeros(B)
-        oi = np.zeros(B, dtype=np.int64)
-        active = oi < n_obs
-        while active.any():
-            dt = rng.exponential(1.0 / rate, size=B)
-            tn = t + dt
-            # record observations falling strictly before the next event
-            while True:
-                rec = active & (tn > obs[np.minimum(oi, n_obs - 1)]) & (oi < n_obs)
-                rows = np.flatnonzero(rec)
-                if len(rows) == 0:
-                    break
-                t_o = obs[oi[rows]]
-                pos = rowbase[rows] + observe_vertex
-                out[oi[rows], lo + rows] = vflat[pos] * np.exp(c * (t_o - lflat[pos]))
-                oi[rows] += 1
-                active = oi < n_obs
-            rows = np.flatnonzero(active)
-            if len(rows) == 0:
-                break
-            r = rng.random(B)
-            ru = r[rows] * V
-            u = ru.astype(np.int64)
-            is_inf = (ru - u) < p_inf
-            hr = rows[~is_inf]
-            pos_h = rowbase[hr] + u[~is_inf]
-            vflat[pos_h] = 0.0
-            lflat[pos_h] = tn[hr]
-            ir = rows[is_inf]
-            ui = u[is_inf]
-            if len(ir):
-                t_ev = tn[ir]
-                nidx = rowbase[ir][:, None] + NBR[ui]
-                nv = vflat[nidx] * np.exp(c * (t_ev[:, None] - lflat[nidx]))
-                vflat[nidx] = nv
-                lflat[nidx] = t_ev[:, None]
-                pos = rowbase[ir] + ui
-                self_v = vflat[pos] * np.exp(c * (t_ev - lflat[pos]))
-                vflat[pos] = self_v + nv.sum(axis=1)
-                lflat[pos] = t_ev
-            t = tn
-        del val, lu, vflat, lflat
+    out = _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, np.add, np.float64)
+    out *= np.exp((1.0 - 2.0 * lam * d_param) * obs)[:, None]
     return out
 
 

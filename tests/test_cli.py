@@ -84,6 +84,15 @@ def test_scan_command(capsys):
     assert [float(r["lambda"]) for r in rows] == pytest.approx([0.2, 0.4, 0.6])
 
 
+def test_scan_grid_points_are_written_exactly(capsys):
+    code, out = run_cli(
+        capsys, "scan", "--graph", "torus:d=1,L=6", "--lambda-grid", "0.1:0.9:0.1",
+        "--t", "0.5", "--replicas", "100",
+    )
+    assert code == 0
+    assert [r["lambda"] for r in parse_csv(out)] == [f"0.{i}" for i in range(1, 10)]
+
+
 def test_critical_command(capsys):
     code, out = run_cli(
         capsys, "critical", "--graph", "torus:d=1,L=8", "--bracket", "0.2,3.0",

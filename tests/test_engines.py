@@ -16,17 +16,63 @@ def two_sample_z(p1, n1, p2, n2):
 
 def test_spin_initial_observation_is_one():
     g = build_torus(1, 6)
-    out = engines.spin_replicas(g, 0.5, [0.0, 1.0], 0, 500, seed=1)
-    assert (out[0] == 1).all()
+    # equal and zero-length observation intervals
+    out = engines.spin_replicas(g, 0.5, [0.0, 0.0, 1.0, 1.0, 2.0], 0, 500, seed=1)
+    assert (out[:2] == 1).all()
+    assert np.array_equal(out[2], out[3])
 
 
-def test_spin_pure_death_matches_poisson_survival():
+def test_spin_initial_vector():
+    g = build_torus(1, 6)
+    initial = np.ones(6, dtype=np.uint8)
+    initial[0] = 0
+    out = engines.spin_replicas(
+        g, 0.5, [0.0, 0.0, 1.0, 1.0, 2.0], 0, 500, seed=1, initial=initial
+    )
+    assert (out[:2] == 0).all()
+    assert np.array_equal(out[2], out[3])
+    assert out[2].any()
+    none = engines.spin_replicas(g, 0.5, [0.0, 1.0], 0, 500, seed=1, initial=np.zeros(6))
+    assert not none.any()
+
+
+def test_spin_pure_death_matches_poisson_survival(monkeypatch):
     g = build_torus(1, 10)
     n = 40_000
-    out = engines.spin_replicas(g, 0.0, [1.0], 0, n, seed=2)[0]
-    p = out.mean()
+    # Every replica dies long before t = 60, so the late observations read
+    # 0, and the kernel stops once none is left: far fewer passes than the
+    # second interval alone holds (Poisson with mean 10 * 59 per replica).
+    limit = 10 * 59
+    passes = []
+    kernel_passes = engines._passes
+
+    def counted(flat, cn, off, n_passes, *args):
+        passes.append(n_passes)
+        assert sum(passes) < limit, "passes ran on after every replica died"
+        return kernel_passes(flat, cn, off, n_passes, *args)
+
+    monkeypatch.setattr(engines, "_passes", counted)
+    out = engines.spin_replicas(g, 0.0, [1.0, 60.0, 1e7], 0, n, seed=2)
+    assert not out[1:].any()
+    p = out[0].mean()
     se = math.sqrt(p * (1 - p) / n)
     assert abs(p - math.exp(-1.0)) < 4 * se
+
+
+@pytest.mark.parametrize("graph", [build_torus(2, 4), build_tree(2, 4)], ids=["torus", "tree"])
+def test_spin_is_indicator_of_counts(graph):
+    # the engines share their random draws, so the coupling eta = 1{xi > 0}
+    # holds replica by replica, not only in distribution
+    obs = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0]
+    for lam, n, seed in ((0.3, 500, 31), (0.6, 3_000, 32)):
+        eta = engines.spin_replicas(graph, lam, obs, 0, n, seed)
+        xi = engines.counts_replicas(graph, lam, obs, 0, n, seed)
+        assert np.array_equal(eta, (xi > 0).astype(np.uint8))
+        assert eta[-1].any() and not eta[-1].all()
+        if graph.kind == "torus":
+            zeta = engines.reals_replicas(graph, lam, 2, obs, 0, n, seed)
+            drift = np.exp((1.0 - 4.0 * lam) * np.asarray(obs))[:, None]
+            np.testing.assert_allclose(zeta, xi * drift, rtol=1e-12)
 
 
 def test_spin_agrees_with_schedule_reference():
@@ -70,10 +116,19 @@ def test_counts_mean_matches_closed_form():
 
 
 def test_counts_values_are_nonnegative_ints():
-    g = build_torus(1, 6)
-    vals = engines.counts_replicas(g, 0.8, [2.0], 0, 2_000, seed=12)
-    assert vals.dtype == np.int64
-    assert (vals >= 0).all()
+    # degree 8 below the horizon where the int64 headroom trips
+    for graph, lam, t in ((build_torus(1, 6), 0.8, 2.0), (build_torus(4, 3), 1.0, 3.0)):
+        vals = engines.counts_replicas(graph, lam, [t], 0, 2_000, seed=12)
+        assert vals.dtype == np.int64
+        assert (vals >= 0).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_headroom_guard_trips(seed):
+    # mean exp(6 * (8 - 1)) ~ 1.7e18 exceeds the headroom int64.max // 9
+    g = build_torus(4, 3)
+    with pytest.raises(RuntimeError):
+        engines.counts_replicas(g, 1.0, [6.0], 0, 1_000, seed)
 
 
 def test_reals_mean_is_conserved():
