@@ -42,6 +42,6 @@ for t, g0, lk in zip(res.times, res.g0, res.leakage):
 
 # the validity guard: in low dimension the offset construction fails
 try:
-    moments.build_h(3, 0.5, walk.hitting_table(3, 2, n_terms=2000), 2)
+    moments.build_h(3, 0.5, walk.hitting_table(3, 2), 2)
 except moments.ValidityError as exc:
     print(f"\nd=3 rejected as expected: {exc}")

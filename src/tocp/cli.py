@@ -2,7 +2,8 @@
 
 Subcommands mirror the library estimators and emit CSV (default) or
 JSON.  Exit codes: 0 success, 1 usage error, 2 invariant-check failure
-(qcheck only).  Column schemas are listed in the README and in each
+(qcheck only), 3 engine failure (a numeric guard or event budget
+tripped).  Column schemas are listed in the README and in each
 subcommand's ``--help``.
 """
 from __future__ import annotations
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green", help="lattice Green function and hitting probability")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--terms", type=int, default=None)
+    p.add_argument("--terms", type=int, default=None,
+                   help="quadrature cutoff T (default 1e8)")
     _add_common(p)
 
     p = sub.add_parser("moments", help="second-moment trajectory on a truncated box")
@@ -194,10 +196,10 @@ def _cmd_green(args) -> int:
         )
         return 0
     g = walk.green_function(args.d, args.terms)
-    f = walk.hitting_prob_e1(args.d, args.terms)
+    f = g.hitting_e1()
     _emit(
-        [{"d": args.d, "N": g.series.truncation_N, "G": g.value,
-          "tail": g.series.tail_estimate, "F_e1": f.value,
+        [{"d": args.d, "N": g.truncation_N, "G": g.value,
+          "tail": g.tail_estimate, "F_e1": f.value,
           "2d_F_e1": 2 * args.d * f.value, "recurrent": False}],
         args.format, args.out,
     )
@@ -209,7 +211,7 @@ def _cmd_moments(args) -> int:
     res = moments.integrate_second_moment(args.d, args.lam, args.radius, times)
     bound = None
     try:
-        table = walk.hitting_table(args.d, max(2, args.radius), n_terms=1500)
+        table = walk.hitting_table(args.d, max(2, args.radius))
         h = moments.build_h(args.d, args.lam, table, args.radius)
         bound = moments.second_moment_bound(h)
     except (moments.ValidityError, walk.DivergenceError):
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

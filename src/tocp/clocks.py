@@ -26,7 +26,6 @@ __all__ = [
     "ClockSchedule",
     "build_schedule",
     "merged_events",
-    "replica_seed",
     "vertex_stream",
     "dump_schedule",
     "load_schedule",
@@ -129,15 +128,6 @@ def merged_events(schedule: ClockSchedule):
     """Yield ``(time, vertex, kind)`` tuples in the deterministic order."""
     for t, x, k in zip(schedule.times, schedule.vertices, schedule.kinds):
         yield float(t), int(x), int(k)
-
-
-def replica_seed(master_seed: int, replica_index: int) -> np.random.SeedSequence:
-    """Seed material for replica ``replica_index`` of a master seed.
-
-    The same derivation is used everywhere replicas are spawned, so
-    serial and parallel execution see identical streams.
-    """
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(replica_index,))
 
 
 def dump_schedule(schedule: ClockSchedule, path: str) -> None:

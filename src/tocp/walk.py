@@ -8,16 +8,21 @@ hitting probability ``F_d(x)`` that a walk started at x ever reaches the
 origin, with the classical identities ``F_d(e1) = (G - 1)/G`` and
 ``F_d(x) = G_d(x)/G_d(0,0)``.
 
+Green values come from one route: the unit-rate continuous-time walk
+visits the same sites and factorizes over axes, so
+``G_d(x) = integral_0^inf prod_i ive(|x_i|, t/d) dt``.  The integral is
+taken by a fixed Gauss rule up to a cutoff T, plus a closed-form tail
+whose error is bounded analytically.
+
 Return probabilities factor over axes.  Writing ``p(2n) = A(n) * B_d(n)``
 with ``A(n) = C(2n, n)/4**n`` and ``B_d(n)`` the collision probability of
 two independent uniform allocations of n step-pairs over d axes, both
-factors live in (0, 1] and the d-fold convolution of the axis weight
-sequence ``w(m) = 1/(m!)**2`` can be evaluated in doubles without
-scaling trouble.  An exact big-integer version of the same convolution
-backs the rational mode.
+factors live in (0, 1] and can be evaluated in doubles without scaling
+trouble.  An exact big-integer convolution backs the rational mode.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,18 +133,12 @@ def return_probabilities(d: int, n_max: int) -> np.ndarray:
 
 @dataclass
 class ReturnSeries:
-    """Return-probability series with truncation and tail bookkeeping."""
+    """Return-probability series with a closed-form bound on its tail."""
 
     d: int
     terms: np.ndarray  # p(2n), n = 1..truncation_N
     truncation_N: int
-    tail_estimate: float
-    tail_mode: str
-
-
-def _power_sum_tail(s: float, N: int) -> float:
-    """sum_{n > N} n**(-s) via integral plus Euler-Maclaurin correction."""
-    return N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-s) + s / 12.0 * N ** (-s - 1.0)
+    tail_estimate: float  # upper bound on sum_{n > truncation_N} p(2n)
 
 
 def _tail_sup_mk(d: int) -> float:
@@ -161,87 +160,15 @@ def _m_ratio(k: int) -> float:
     return math.exp(k * math.log(k + 1) - k - math.lgamma(k + 1))
 
 
-def return_series(d: int, n_max: int, tail_mode: str = "local_clt") -> ReturnSeries:
-    """Series terms plus a tail estimate for ``sum_{n > n_max} p(2n)``.
+def return_series(d: int, n_max: int) -> ReturnSeries:
+    """Series terms plus the closed-form block bound on ``sum_{n > n_max} p(2n)``.
 
-    ``local_clt`` fits the coefficient of the large-n law
-    ``p(2n) ~ c * n**(-d/2)`` to the last computed terms and integrates
-    it past the truncation; the reported estimate is meant to be trusted
-    only within a factor of two.  ``block_bounds`` uses the closed-form
-    block bounds (valid upper bound for ``n_max >= 2d``; effective only
-    in high dimension).
+    The block bound is a valid upper bound for ``n_max >= 2d``; it is
+    effective only in high dimension.
     """
-    terms = return_probabilities(d, n_max)
-    if tail_mode == "local_clt":
-        if d <= 2:
-            tail = math.inf
-        else:
-            s = d / 2.0
-            k = max(10, n_max // 10)
-            ns = np.arange(n_max - k + 1, n_max + 1, dtype=np.float64)
-            c = float(np.mean(terms[-k:] * ns**s))
-            tail = c * _power_sum_tail(s, n_max)
-    elif tail_mode == "block_bounds":
-        if n_max < 2 * d:
-            raise ValueError("block_bounds tail requires n_max >= 2d")
-        tail = _tail_sup_mk(d)
-    else:
-        raise ValueError(f"unknown tail mode {tail_mode!r}")
-    return ReturnSeries(d, terms, n_max, tail, tail_mode)
-
-
-@dataclass
-class GreenResult:
-    value: float
-    uncertainty: float
-    series: ReturnSeries
-
-
-_DEFAULT_TERMS = {3: 10_000, 4: 4_000}
-
-
-def green_function(
-    d: int, truncation_N: int | None = None, tail_mode: str = "local_clt"
-) -> GreenResult:
-    """Green function ``G_d(0,0) = 1 + sum p(2n)`` for a transient walk.
-
-    Raises :class:`DivergenceError` for d <= 2.  The value includes the
-    tail estimate; the uncertainty equals the tail estimate itself
-    (safety factor two on the tail).
-    """
-    if d <= 2:
-        raise DivergenceError(f"return series diverges for d = {d} (recurrent walk)")
-    N = truncation_N or _DEFAULT_TERMS.get(d, 2_000)
-    series = return_series(d, N, tail_mode)
-    partial = math.fsum(series.terms.tolist())
-    if tail_mode == "block_bounds":
-        # the block machinery gives an upper bound, not an estimate
-        value = 1.0 + partial + 0.5 * series.tail_estimate
-        uncert = 0.5 * series.tail_estimate
-    else:
-        value = 1.0 + partial + series.tail_estimate
-        uncert = series.tail_estimate
-    return GreenResult(value, uncert, series)
-
-
-@dataclass
-class HittingE1:
-    """Hitting probability of the origin from a lattice neighbour."""
-
-    value: float
-    uncertainty: float
-    recurrent: bool
-
-
-def hitting_prob_e1(
-    d: int, truncation_N: int | None = None, tail_mode: str = "local_clt"
-) -> HittingE1:
-    """``F_d(e1) = (G - 1)/G``; returns 1.0 flagged recurrent for d <= 2."""
-    if d <= 2:
-        return HittingE1(1.0, 0.0, True)
-    g = green_function(d, truncation_N, tail_mode)
-    value = (g.value - 1.0) / g.value
-    return HittingE1(value, g.uncertainty / g.value**2, False)
+    if n_max < 2 * d:
+        raise ValueError("block-bound tail requires n_max >= 2d")
+    return ReturnSeries(d, return_probabilities(d, n_max), n_max, _tail_sup_mk(d))
 
 
 def first_return_probabilities(p: np.ndarray, n_max: int | None = None) -> np.ndarray:
@@ -259,6 +186,152 @@ def first_return_probabilities(p: np.ndarray, n_max: int | None = None) -> np.nd
             acc -= float(np.dot(f[: n - 1], p[n - 2 :: -1][: n - 1]))
         f[n - 1] = acc
     return f
+
+
+# ---------------------------------------------------------------------------
+# Green values by quadrature of the Poissonized walk
+
+
+_DEFAULT_CUTOFF = 1e8
+
+# Gauss-Legendre points per panel: the 20-point rule gives the value, the
+# 12-point rule on the same panels the quadrature-error estimate
+_POINTS_VALUE, _POINTS_CHECK = 20, 12
+_PANEL = 2.0  # panel width in u = log t
+
+_NODE_GUARD = 10_000_000  # refuse more than this many class-node products
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: the eigensolver behind it costs import time and memory
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _rule(cutoff: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite n-point rule for ``integral_0^cutoff dt``.
+
+    One panel on [0, 1] in t, then panels of width ``_PANEL`` in
+    ``u = log t`` up to ``log(cutoff)``.  The integrand below is entire
+    in u and bounded on the strip ``|Im u| <= pi/2``, so each panel
+    converges geometrically in the number of nodes.
+    """
+    x, w = _gauss_legendre(n)
+    L = math.log(cutoff)
+    edges = np.linspace(0.0, L, max(1, math.ceil(L / _PANEL)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    t = np.exp(u)
+    return (np.concatenate([0.5 * (x + 1.0), t]),
+            np.concatenate([0.5 * w, (half * w).ravel() * t]))
+
+
+def _envelope(z: float, a_max: int) -> tuple[float, float]:
+    """Bounds ``lo <= sqrt(2 pi z) ive(a, z) <= hi`` for z >= 1/2, 0 <= a <= a_max.
+
+        lo = erf(sqrt(2z)) prod_{k=1..a_max} z/(k + sqrt(k**2 + z**2))
+        hi = 1 + 1/(4z) + sqrt(pi z/2) exp(-z)
+
+    Both follow from ``e**-z I_0(z) = (2/pi) integral_0^1 exp(-2 z u**2)
+    (1-u**2)**(-1/2) du`` (DLMF 10.32.1 with u = sin(theta/2)): below,
+    bound the root by 1; above, by ``1 + u**2`` on u**2 <= 1/2 and the
+    exponential by exp(-z) elsewhere.  ``I_a <= I_0`` gives the upper
+    side for every a, and Amos's ratio bound ``I_k(z)/I_{k-1}(z) >=
+    z/(k + sqrt(k**2 + z**2))`` (Math. Comp. 28, 1974, 239-251) the lower.
+    For z >= 1/2, hi falls and lo rises with z.
+    """
+    hi = 1.0 + 0.25 / z + math.sqrt(0.5 * math.pi * z) * math.exp(-z)
+    lo = math.erf(math.sqrt(2.0 * z))
+    for k in range(1, a_max + 1):
+        lo *= z / (k + math.hypot(k, z))
+    return lo, hi
+
+
+def _tail(d: int, cutoff: float, a_max: int) -> tuple[float, float]:
+    """Closed-form tail past the cutoff T and a proven bound on its error.
+
+    Past T the integrand ``prod_i ive(a_i, t/d)`` is replaced by its
+    large-t law ``(d / (2 pi t))**(d/2)``, which integrates to
+    ``(d/2pi)**(d/2) T**(1-d/2) / (d/2-1)``.  The integrand lies between
+    ``lo**d`` and ``hi**d`` times that law, with the :func:`_envelope`
+    values at z = T/d, which hold for the whole tail.
+    """
+    lo, hi = _envelope(cutoff / d, a_max)
+    tail = (d / (2.0 * math.pi)) ** (d / 2.0) * cutoff ** (1.0 - d / 2.0) / (d / 2.0 - 1.0)
+    return tail, tail * max(hi**d - 1.0, 1.0 - lo**d)
+
+
+def _green_values(
+    d: int, classes: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``G_d(x)`` for each row x of ``classes`` (nonnegative displacements).
+
+    ``G_d(x) = integral_0^inf prod_i ive(|x_i|, t/d) dt`` for the
+    unit-rate continuous-time walk, which factorizes over axes and
+    visits the same sites as the discrete one.  Returns the values, a
+    per-row uncertainty (quadrature estimate plus the tail bound of
+    :func:`_tail`) and the closed-form tail.
+    """
+    if not (math.isfinite(cutoff) and cutoff >= d):
+        raise ValueError(f"cutoff must be finite and >= d, got {cutoff!r}")
+    a_max = int(classes.max())
+    orders = np.arange(a_max + 1)[:, None]
+    estimates = []
+    for n in (_POINTS_VALUE, _POINTS_CHECK):
+        t, wt = _rule(cutoff, n)
+        if len(classes) * len(t) > _NODE_GUARD:
+            raise ValueError("Green-value quadrature beyond the resource guard")
+        axis = ive(orders, t / d)  # row a holds ive(a, t/d) at every node
+        f = axis[classes[:, 0]]
+        for j in range(1, d):
+            f *= axis[classes[:, j]]
+        estimates.append(f @ wt)
+    tail, envelope = _tail(d, cutoff, a_max)
+    return estimates[0] + tail, np.abs(estimates[0] - estimates[1]) + envelope, tail
+
+
+@dataclass
+class HittingE1:
+    """Hitting probability of the origin from a lattice neighbour."""
+
+    value: float
+    uncertainty: float
+    recurrent: bool
+
+
+@dataclass
+class GreenResult:
+    value: float
+    uncertainty: float
+    truncation_N: float  # quadrature cutoff T
+    tail_estimate: float  # closed-form integral past T
+
+    def hitting_e1(self) -> HittingE1:
+        """``F_d(e1) = (G - 1)/G`` with the propagated uncertainty."""
+        return HittingE1((self.value - 1.0) / self.value,
+                         self.uncertainty / self.value**2, False)
+
+
+def green_function(d: int, truncation_N: float | None = None) -> GreenResult:
+    """Green function ``G_d(0,0) = 1 + sum p(2n)`` for a transient walk.
+
+    Quadrature of the Poissonized integral up to the cutoff
+    ``truncation_N`` (default 1e8) plus the closed-form tail; the
+    uncertainty is the quadrature estimate plus a proven bound on the
+    tail's error.  Raises :class:`DivergenceError` for d <= 2.
+    """
+    if d <= 2:
+        raise DivergenceError(f"return series diverges for d = {d} (recurrent walk)")
+    T = _DEFAULT_CUTOFF if truncation_N is None else truncation_N
+    values, unc, tail = _green_values(d, np.zeros((1, d), dtype=np.intp), T)
+    return GreenResult(float(values[0]), float(unc[0]), T, tail)
+
+
+def hitting_prob_e1(d: int, truncation_N: float | None = None) -> HittingE1:
+    """``F_d(e1) = (G - 1)/G``; returns 1.0 flagged recurrent for d <= 2."""
+    if d <= 2:
+        return HittingE1(1.0, 0.0, True)
+    return green_function(d, truncation_N).hitting_e1()
 
 
 # ---------------------------------------------------------------------------
@@ -287,88 +360,27 @@ class HittingTable:
         return self.classes[key]
 
 
-def _one_axis_pmf(a: int, n_max: int) -> np.ndarray:
-    """P(1d walk at step s equals a) for s = 0..n_max (zero off parity)."""
-    s = np.arange(n_max + 1, dtype=np.float64)
-    out = np.zeros(n_max + 1)
-    ok = (np.arange(n_max + 1) >= a) & ((np.arange(n_max + 1) - a) % 2 == 0)
-    sv = s[ok]
-    kv = (sv + a) / 2.0
-    out[ok] = np.exp(gammaln(sv + 1) - gammaln(kv + 1) - gammaln(sv - kv + 1) - sv * math.log(2.0))
-    return out
-
-
-def hitting_table(d: int, radius: int, n_terms: int | None = None) -> HittingTable:
+def hitting_table(d: int, radius: int, n_terms: float | None = None) -> HittingTable:
     """Hitting probabilities on the box ``max_i |x_i| <= radius``.
 
-    ``G_d(x) = sum_s P(S_s = x)`` is evaluated by allocating the s steps
-    over the d axes (binomial splitting, one axis at a time) with the
-    one-axis displacement law ``C(s, (s+a)/2) / 2**s``, then
-    ``F_d(x) = G_d(x) / G_d(0, 0)``.  A power-law tail with an
-    empirically fitted coefficient accounts for s beyond the truncation.
+    Every symmetry class is integrated at once on the nodes of one
+    quadrature rule with cutoff ``n_terms`` (default 1e8), then
+    ``F_d(x) = G_d(x) / G_d(0, 0)``.  ``tail_uncertainty`` is the
+    largest Green-value uncertainty propagated to F, valid for every class.
     """
     if d < 3:
         raise DivergenceError("hitting tables need a transient walk (d >= 3)")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    K = n_terms or {3: 6_000, 4: 3_000}.get(d, 2_000)
-    n_classes = math.comb(radius + d, d)
-    if n_classes * K > 5e7:
+    if math.comb(radius + d, d) * 2 * _POINTS_VALUE > _NODE_GUARD:  # >= 2 panels
         raise ValueError("hitting table beyond the resource guard")
-
-    lg = gammaln(np.arange(K + 2, dtype=np.float64))
-    axis_pmf = {a: _one_axis_pmf(a, K) for a in range(radius + 1)}
-
-    # binomial allocation weights pmf(m; s, 1/j), built once per axis count
-    def binom_rows(j: int):
-        rows = []
-        lp, lq = math.log(1.0 / j), math.log(1.0 - 1.0 / j)
-        for s in range(K + 1):
-            m = np.arange(s + 1)
-            rows.append(np.exp(lg[s + 1] - lg[m + 1] - lg[s - m + 1] + m * lp + (s - m) * lq))
-        return rows
-
-    rows_by_j = {j: binom_rows(j) for j in range(2, d + 1)}
-
-    memo: dict[tuple, np.ndarray] = {}
-
-    def alloc(prefix: tuple) -> np.ndarray:
-        """P(axes 1..j hit prefix displacements | s steps on those axes)."""
-        if prefix in memo:
-            return memo[prefix]
-        j = len(prefix)
-        if j == 1:
-            out = axis_pmf[prefix[0]]
-        else:
-            sub = alloc(prefix[:-1])
-            pa = axis_pmf[prefix[-1]]
-            rows = rows_by_j[j]
-            out = np.empty(K + 1)
-            out[0] = pa[0] * sub[0]
-            for s in range(1, K + 1):
-                w = rows[s] * pa[: s + 1]
-                out[s] = float(np.dot(w, sub[s::-1]))
-        memo[prefix] = out
-        return out
-
-    def series_total(term: np.ndarray) -> tuple[float, float]:
-        total = math.fsum(term.tolist())
-        nz = np.flatnonzero(term[K // 2 :] > 0) + K // 2
-        nz = nz[-20:]
-        s_half = d / 2.0
-        c = float(np.mean(term[nz] * nz.astype(float) ** s_half)) if len(nz) else 0.0
-        tail = 0.5 * c * _power_sum_tail(s_half, K)
-        return total + tail, tail
-
-    classes = {}
-    tail_unc = 0.0
-    for key in _sorted_classes(d, radius):
-        g, tail = series_total(alloc(key))
-        classes[key] = g
-        tail_unc = max(tail_unc, tail)
-    g0 = classes[(0,) * d]
-    table = {k: (1.0 if all(c == 0 for c in k) else v / g0) for k, v in classes.items()}
-    return HittingTable(d, radius, g0, table, tail_unc / g0)
+    keys = _sorted_classes(d, radius)
+    T = _DEFAULT_CUTOFF if n_terms is None else n_terms
+    values, unc, _ = _green_values(d, np.array(keys, dtype=np.intp), T)
+    g0 = float(values[0])  # keys[0] is the origin
+    table = {k: v / g0 for k, v in zip(keys, values.tolist())}
+    # |d(Gx/G0)| <= (dGx + F dG0)/G0 and F <= 1
+    return HittingTable(d, radius, g0, table, 2.0 * float(unc.max()) / g0)
 
 
 def _sorted_classes(d: int, radius: int):
@@ -386,27 +398,6 @@ def _sorted_classes(d: int, radius: int):
     return out
 
 
-def _green_bessel(d: int, x, rtol: float = 1e-10) -> float:
-    """Independent quadrature route to ``G_d(x)`` (Poissonized walk).
-
-    The continuous-time unit-rate walk factorizes over axes, giving
-    ``G_d(x) = integral_0^inf prod_i ive(|x_i|, t/d) dt``.  Used as a
-    cross-check oracle for the allocation series.
-    """
-    from scipy.integrate import quad
-
-    a = [abs(int(c)) for c in x]
-
-    def f(t):
-        out = 1.0
-        for ai in a:
-            out *= ive(ai, t / d)
-        return out
-
-    val, err = quad(f, 0.0, np.inf, epsabs=1e-12, epsrel=rtol, limit=400)
-    return float(val)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 
@@ -422,10 +413,13 @@ def mc_return_oracle(d: int, trials: int, horizon_steps: int, seed: int) -> dict
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    pos = np.zeros((trials, d), dtype=np.int16)
-    pos[:, 0] = 1
+    active = np.zeros((trials, d), dtype=np.int16)
+    active[:, 0] = 1
+    # per-walk count of nonzero coordinates: a step changes one axis, so
+    # the count moves with that axis alone and "at the origin" is O(1)
+    nonzero = np.ones(trials, dtype=np.int8)
+    rows = np.arange(trials)
     hits = 0
-    active = pos
     for _ in range(horizon_steps):
         m = len(active)
         if m == 0:
@@ -434,12 +428,18 @@ def mc_return_oracle(d: int, trials: int, horizon_steps: int, seed: int) -> dict
         k = r.astype(np.int64)
         axis = k >> 1
         step = ((k & 1) << 1) - 1
-        active[np.arange(m), axis] += step.astype(np.int16)
-        at_zero = ~active.any(axis=1)
+        old = active[rows[:m], axis]
+        new = old + step.astype(np.int16)
+        active[rows[:m], axis] = new
+        nonzero += new != 0
+        nonzero -= old != 0
+        at_zero = nonzero == 0
         nh = int(at_zero.sum())
         if nh:
             hits += nh
-            active = active[~at_zero]
+            keep = ~at_zero
+            active = active[keep]
+            nonzero = nonzero[keep]
     est = hits / trials
     se = math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
     return {"estimate": est, "se": se, "hits": hits, "trials": trials}

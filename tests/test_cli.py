@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tocp import engines, walk
 from tocp.cli import main
 from tocp.clocks import load_schedule
 
@@ -112,6 +113,18 @@ def test_green_command_columns(capsys):
     assert float(row["2d_F_e1"]) == pytest.approx(10 * float(row["F_e1"]))
 
 
+def test_green_command_computes_g_once(capsys, monkeypatch):
+    calls = []
+    real = walk.green_function
+    monkeypatch.setattr(walk, "green_function", lambda *a: calls.append(a) or real(*a))
+    code, out = run_cli(capsys, "green", "--d", "5", "--terms", "400")
+    assert code == 0 and calls == [(5, 400)]
+    row = parse_csv(out)[0]
+    g = real(5, 400)
+    assert float(row["N"]) == 400 and float(row["tail"]) == g.tail_estimate
+    assert float(row["F_e1"]) == walk.hitting_prob_e1(5, 400).value
+
+
 def test_green_command_recurrent(capsys):
     code, out = run_cli(capsys, "green", "--d", "2")
     assert code == 0
@@ -154,6 +167,17 @@ def test_usage_error_exit_code(capsys):
 
 def test_bad_value_exit_code(capsys):
     assert main(["simulate", "--graph", "ring:n=5", "--lambda", "0.5", "--t", "1.0"]) == 1
+
+
+def test_engine_failure_exit_code(capsys, monkeypatch):
+    def tripped(*_a, **_k):
+        raise RuntimeError("xi count would exceed the int64 headroom")
+
+    monkeypatch.setattr(engines, "spin_replicas", tripped)
+    code = main(["simulate", "--graph", "torus:d=1,L=8", "--lambda", "0.5", "--t", "1.0",
+                 "--per-replica"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gamma, ive
 
+from series_oracle import green_series, one_axis_pmf
 from tocp import walk
+
+# Watson's integral in closed form (Glasser & Zucker 1977)
+G3_CLOSED_FORM = (math.sqrt(6) / (32 * math.pi**3)
+                  * gamma(1 / 24) * gamma(5 / 24) * gamma(7 / 24) * gamma(11 / 24))
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +81,10 @@ def test_return_probabilities_decay_monotonically():
 
 
 def test_endpoint_normalization_via_axis_dp():
-    # the same one-axis displacement pmf used by the hitting table must
-    # reproduce the full endpoint law; checked against enumeration at d=2, k=4
+    # the one-axis displacement pmf of the series oracle must reproduce
+    # the full endpoint law; checked against enumeration at d=2, k=4
     dist = enumerate_endpoint_distribution(2, 4)
-    pmf = {a: walk._one_axis_pmf(abs(a), 8) for a in range(-4, 5)}
+    pmf = {a: one_axis_pmf(abs(a), 8) for a in range(-4, 5)}
     total = Fraction(0)
     for x, frac in dist.items():
         # allocation of 4 steps over 2 axes with per-axis displacement law
@@ -100,10 +106,37 @@ def test_green_diverges_low_dimension():
 
 def test_green_d3_value():
     g = walk.green_function(3)
-    assert abs(g.value - 1.5163860) < 1e-3
-    # independent quadrature oracle
-    gb = walk._green_bessel(3, (0, 0, 0))
-    assert abs(g.value - gb) < 1e-5
+    assert abs(g.value - G3_CLOSED_FORM) < 1e-12
+    assert g.uncertainty < 1e-9
+
+
+def test_green_uncertainty_covers_error():
+    for cutoff in (300, 2000, None):
+        g = walk.green_function(3, cutoff)
+        assert abs(g.value - G3_CLOSED_FORM) <= g.uncertainty
+    assert walk.green_function(3, 300).truncation_N == 300
+
+
+def test_green_cutoff_guard():
+    for bad in (0, 2, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            walk.green_function(3, bad)
+
+
+def test_tail_envelope_inequality():
+    a_max = 6
+    los, his = [], []
+    for z in np.logspace(math.log10(0.5), 7, 300):
+        lo, hi = walk._envelope(z, a_max)
+        for a in range(a_max + 1):
+            scaled = math.sqrt(2 * math.pi * z) * ive(a, z)
+            assert scaled <= hi * (1 + 1e-14)
+            assert walk._envelope(z, a)[0] <= scaled * (1 + 1e-14)
+        los.append(lo)
+        his.append(hi)
+    # monotone in z, so the values at z = T/d hold for the whole tail
+    assert all(b >= a for a, b in zip(los, los[1:]))
+    assert all(b <= a for a, b in zip(his, his[1:]))
 
 
 def test_green_lower_bound_first_term():
@@ -113,9 +146,10 @@ def test_green_lower_bound_first_term():
 
 
 def test_green_block_bounds_mode_brackets_value():
-    ref = walk.green_function(12, truncation_N=400).value
-    g = walk.green_function(12, truncation_N=30, tail_mode="block_bounds")
-    assert abs(g.value - ref) <= g.uncertainty + 1e-12
+    ref = walk.green_function(12).value
+    s = walk.return_series(12, 30)
+    partial = 1.0 + math.fsum(s.terms.tolist())
+    assert partial - 1e-12 <= ref <= partial + s.tail_estimate + 1e-12
 
 
 def test_hitting_prob_recurrent_flag():
@@ -148,10 +182,10 @@ def test_first_return_recursion():
 
 
 def test_d_times_tail_sum_decreases():
+    # d * sum_{n >= 2} p(2n), with p(2) = 1/(2d) exact
     vals = []
     for d in range(3, 13):
-        s = walk.return_series(d, 300)
-        vals.append(d * (math.fsum(s.terms[1:].tolist()) + s.tail_estimate))
+        vals.append(d * (walk.green_function(d).value - 1 - 1 / (2 * d)))
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.1
 
@@ -199,11 +233,21 @@ def test_hitting_table_neighbor_identity():
 
 
 def test_hitting_table_against_quadrature():
+    # the table is the quadrature; the step-count series checks it
     t = walk.hitting_table(5, 2, n_terms=1500)
-    g0 = walk._green_bessel(5, (0,) * 5)
+    g0 = green_series((0,) * 5, 1500)
     for x in [(1, 0, 0, 0, 0), (2, 2, 1, 0, 0)]:
-        want = walk._green_bessel(5, x) / g0
+        want = green_series(tuple(sorted(x)), 1500) / g0
         assert abs(t.lookup(x) - want) < 1e-6
+
+
+def test_hitting_table_uncertainty_covers_cutoff_error():
+    ref = walk.hitting_table(4, 3)
+    assert ref.tail_uncertainty < 1e-12
+    for cutoff in (300, 2000):
+        t = walk.hitting_table(4, 3, cutoff)
+        err = max(abs(v - ref.classes[k]) for k, v in t.classes.items())
+        assert err <= t.tail_uncertainty
 
 
 def test_hitting_table_guards():
@@ -211,6 +255,8 @@ def test_hitting_table_guards():
         walk.hitting_table(2, 2)
     with pytest.raises(ValueError):
         walk.hitting_table(4, 0)
+    with pytest.raises(ValueError):
+        walk.hitting_table(8, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +276,12 @@ def test_mc_matches_truncated_expectation():
     p = walk.return_probabilities(3, horizon // 2)
     expected = float(walk.first_return_probabilities(p).sum())
     assert abs(out["estimate"] - expected) < 4 * out["se"]
+
+
+def test_mc_hits_pinned():
+    # the O(1) at-origin test must leave the draws and the hits unchanged
+    assert walk.mc_return_oracle(3, 20_000, 1_000, seed=11)["hits"] == 6612
+    assert walk.mc_return_oracle(10, 20_000, 600, seed=11)["hits"] == 1128
 
 
 def test_mc_lower_bounds_limit():
