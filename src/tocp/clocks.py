@@ -8,13 +8,17 @@ real-valued, dual set, branching set) are driven by the same schedule,
 which is what makes the coupling identities exact rather than
 statistical.
 
-Per-vertex streams are seeded independently through
-``numpy.random.SeedSequence(entropy=seed, spawn_key=(vertex, kind))``,
-so the stream of any one clock does not change when vertices are added
-or when other clocks are consumed.
+Every clock is a counter-based stream (Salmon et al., SC'11): its k-th
+exponential gap is a splitmix64 mix (Steele, Lea & Flood, OOPSLA 2014)
+of ``(seed, vertex, kind, k)`` and its times are ``cumsum(gaps) / rate``,
+so a clock's stream does not change when vertices are added or the
+horizon grows, and all clocks are drawn at once.  Seeds lie in
+``[0, 2**64)``.  Schedules differ from those of the per-vertex
+``SeedSequence`` generators used before; dumps are version 2.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -34,7 +38,11 @@ __all__ = [
 HEAL = 0
 INFECT = 1
 
-_MAGIC = b"TOCPCLK1"
+_MAGIC = b"TOCPCLK2"
+_HEADER = struct.Struct("<IQddqQ")  # version, seed, lam, horizon, graph_n, n_events
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment
+#: clocks x gaps drawn at once; bounds the temporaries of a large graph
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -60,26 +68,63 @@ class ClockSchedule:
         return len(self.times)
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, a bijection of uint64, applied in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _chunk(expect: float) -> int:
+    """Gaps drawn per clock and round; clocks that fall short draw another round."""
+    return max(8, int(expect + np.sqrt(expect) + 1))
+
+
+def _realize(seed: int, vertices: np.ndarray, kind: int, rate: float, horizon: float):
+    """``(times, rows)``: times in ``(0, horizon]`` of clocks ``(seed, vertices[row], kind)``.
+
+    Times are running sums of the gaps, accumulated left to right across
+    rounds and divided by ``rate``, so they do not depend on the rounds.
+    """
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    # one key per clock, distinct within a seed
+    base = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
+    keys = _mix(base + (2 * vertices.astype(np.uint64) + np.uint64(kind + 1)) * _GAMMA)
+    times, rows = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    n = min(_chunk(max(rate * horizon, 0.0)), _BLOCK_CELLS)
+    block = _BLOCK_CELLS // n
+    for r0 in range(0, len(keys) if rate > 0 and horizon > 0 else 0, block):
+        live = np.arange(r0, min(r0 + block, len(keys)), dtype=np.int64)
+        carry, k0 = 0.0, 0
+        while len(live):
+            z = _mix(keys[live, None] + np.arange(k0 + 1, k0 + n + 1, dtype=np.uint64) * _GAMMA)
+            # 52 random bits centred in their cell: u in (0, 1), so every gap is > 0
+            sums = -np.log(((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+            sums[:, 0] += carry
+            np.cumsum(sums, axis=1, out=sums)
+            t = sums / rate
+            inside = t <= horizon
+            times.append(t[inside])
+            rows.append(np.repeat(live, inside.sum(axis=1)))
+            short = inside[:, -1]
+            live, carry, k0 = live[short], sums[short, -1], k0 + n
+    return np.concatenate(times), np.concatenate(rows)
+
+
 def vertex_stream(seed: int, vertex: int, kind: int, rate: float, horizon: float) -> np.ndarray:
     """Event times in ``(0, horizon]`` for one clock of one vertex.
 
-    The stream is a pure function of ``(seed, vertex, kind)``; ``rate``
-    and ``horizon`` only decide how much of it is realized.
+    The stream is a pure function of ``(seed, vertex, kind)``, the
+    ``(vertex, kind)`` row of :func:`build_schedule`; ``horizon`` decides
+    how much of it is realized, and ``rate`` divides its times.
     """
     if rate < 0:
         raise ValueError("rate must be >= 0")
-    if rate == 0 or horizon <= 0:
-        return np.empty(0, dtype=np.float64)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(vertex, kind))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    # draw in chunks until past the horizon
-    expect = rate * horizon
-    chunk = max(16, int(expect + 6 * np.sqrt(expect) + 6))
-    total = rng.exponential(1.0 / rate, size=chunk).cumsum()
-    while total[-1] <= horizon:
-        more = rng.exponential(1.0 / rate, size=chunk).cumsum() + total[-1]
-        total = np.concatenate([total, more])
-    return total[total <= horizon]
+    return _realize(seed, np.array([vertex]), kind, rate, horizon)[0]
 
 
 def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedule:
@@ -94,34 +139,24 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     horizon : float
         Right end of the time window, ``>= 0``.
     seed : int
-        Master seed; per-vertex streams derive from it independently.
+        Master seed in ``[0, 2**64)``; per-vertex streams derive from it
+        independently.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     V = graph.n_vertices
-    times_parts = []
-    vert_parts = []
-    kind_parts = []
-    for x in range(V):
-        for kind, rate in ((HEAL, 1.0), (INFECT, lam)):
-            t = vertex_stream(seed, x, kind, rate, horizon)
-            if len(t):
-                times_parts.append(t)
-                vert_parts.append(np.full(len(t), x, dtype=np.int64))
-                kind_parts.append(np.full(len(t), kind, dtype=np.int8))
-    if times_parts:
-        times = np.concatenate(times_parts)
-        verts = np.concatenate(vert_parts)
-        kinds = np.concatenate(kind_parts)
-        order = np.lexsort((kinds, verts, times))
-        times, verts, kinds = times[order], verts[order], kinds[order]
-    else:
-        times = np.empty(0, dtype=np.float64)
-        verts = np.empty(0, dtype=np.int64)
-        kinds = np.empty(0, dtype=np.int8)
-    return ClockSchedule(V, lam, horizon, seed, times, verts, kinds)
+    parts = [_realize(seed, np.arange(V), kind, rate, horizon)
+             for kind, rate in ((HEAL, 1.0), (INFECT, lam))]
+    times, verts = (np.concatenate(arrays) for arrays in zip(*parts))
+    kinds = np.repeat(np.array([HEAL, INFECT], dtype=np.int8), [len(t) for t, _ in parts])
+    order = np.argsort(times)
+    times = times[order]
+    # exact float ties have probability zero: order by (vertex, kind) only if one shows up
+    if (times[1:] == times[:-1]).any():
+        order = order[np.lexsort((kinds[order], verts[order], times))]
+    return ClockSchedule(V, lam, horizon, seed, times, verts[order], kinds[order])
 
 
 def merged_events(schedule: ClockSchedule):
@@ -134,22 +169,23 @@ def dump_schedule(schedule: ClockSchedule, path: str) -> None:
     """Binary dump: magic, version, counts, then little-endian arrays."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IqddqQ", 1, schedule.seed, schedule.lam,
-                             schedule.horizon, schedule.graph_n, schedule.n_events))
+        fh.write(_HEADER.pack(2, schedule.seed, schedule.lam, schedule.horizon,
+                              schedule.graph_n, schedule.n_events))
         fh.write(schedule.times.astype("<f8").tobytes())
         fh.write(schedule.vertices.astype("<i8").tobytes())
         fh.write(schedule.kinds.astype("<i1").tobytes())
 
 
 def load_schedule(path: str) -> ClockSchedule:
+    """Read a :func:`dump_schedule` file; ``ValueError`` for other files and short arrays."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not a clock-schedule dump")
-        version, seed, lam, horizon, graph_n, n = struct.unpack("<IqddqQ", fh.read(44))
-        if version != 1:
+        if fh.read(8) != _MAGIC:
+            raise ValueError("not a version-2 clock-schedule dump (version 1 is not readable)")
+        version, seed, lam, horizon, graph_n, n = _HEADER.unpack(fh.read(_HEADER.size))
+        if version != 2:
             raise ValueError(f"unsupported dump version {version}")
-        times = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        verts = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        kinds = np.frombuffer(fh.read(n), dtype="<i1").copy()
+        body = fh.read()
+    times = np.frombuffer(body, dtype="<f8", count=n).copy()
+    verts = np.frombuffer(body, dtype="<i8", count=n, offset=8 * n).copy()
+    kinds = np.frombuffer(body, dtype="<i1", count=n, offset=16 * n).copy()
     return ClockSchedule(graph_n, lam, horizon, seed, times, verts, kinds)

@@ -263,7 +263,7 @@ def reals_replicas(
     ``(len(obs_times), n_replicas)``.
     """
     obs = _check_obs(obs_times)
-    if not graph.is_regular() or graph.deg[0] != 2 * d_param:
+    if graph.regular_degree != 2 * d_param:
         raise ValueError("zeta dynamics require a 2d-regular graph")
     out = _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, np.add, np.float64)
     out *= np.exp((1.0 - 2.0 * lam * d_param) * obs)[:, None]

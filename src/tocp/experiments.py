@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engines, walk
-from .clocks import INFECT, build_schedule
+from .clocks import INFECT, ClockSchedule, build_schedule
 from .graphs import FiniteGraph, LazyTree
-from .processes import all_ones_spin, step_eta
+from .processes import all_ones_spin, run
 
 __all__ = [
     "Estimate",
@@ -56,13 +56,6 @@ class Estimate:
         p = hits / n
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         return Estimate(p, se, n, seed)
-
-    @staticmethod
-    def from_samples(samples: np.ndarray, seed: int) -> "Estimate":
-        n = len(samples)
-        mean = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return Estimate(mean, se, n, seed)
 
 
 def survival_probability(
@@ -183,19 +176,15 @@ def thinned_survival_indicators(
         marks_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=rep_seed, spawn_key=(1 << 20,)))
         )
-        marks = marks_rng.random(int((sched.kinds == INFECT).sum()))
+        infect = sched.kinds == INFECT
+        # heal events carry mark -1 and are kept at every rate
+        marks = np.full(sched.n_events, -1.0)
+        marks[infect] = marks_rng.random(int(infect.sum()))
         for gi, lam in enumerate(grid):
-            accept = lam / lam_max if lam_max > 0 else 0.0
-            eta = all_ones_spin(graph)
-            mi = 0
-            for tt, vx, kk in zip(sched.times, sched.vertices, sched.kinds):
-                if kk == INFECT:
-                    ok = marks[mi] < accept
-                    mi += 1
-                    if not ok:
-                        continue
-                step_eta(eta, (float(tt), int(vx), int(kk)), graph)
-            out[gi, rep] = eta[x]
+            keep = marks < (lam / lam_max if lam_max > 0 else 0.0)
+            thinned = ClockSchedule(sched.graph_n, lam, t, rep_seed, sched.times[keep],
+                                    sched.vertices[keep], sched.kinds[keep])
+            out[gi, rep] = run("eta", thinned, graph, all_ones_spin(graph), [t])[0][x]
     return out
 
 

@@ -11,6 +11,7 @@ state is permanently zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class FiniteGraph:
         """Sorted neighbour ids of vertex ``x``."""
         return self.nbr[x, : self.deg[x]]
 
+    @cached_property
+    def adjacency_lists(self) -> list[list[int]]:
+        """``adjacency(x).tolist()`` for every ``x``, built on first use for per-event reads."""
+        return [row[:k] for row, k in zip(self.nbr.tolist(), self.deg.tolist())]
+
     def sons_of(self, x: int) -> np.ndarray:
         if self.sons is None:
             raise ValueError("graph has no son orientation")
@@ -82,8 +88,10 @@ class FiniteGraph:
 
         return fn
 
-    def is_regular(self) -> bool:
-        return bool((self.deg == self.deg[0]).all())
+    @cached_property
+    def regular_degree(self) -> int | None:
+        """The common degree if every vertex has it, else ``None`` (computed once)."""
+        return int(self.deg[0]) if (self.deg == self.deg[0]).all() else None
 
     # -- torus coordinate bijection --------------------------------------
     # index = sum_i c_i * L**i with coordinates c_i in 0..L-1 (axis 0 is the

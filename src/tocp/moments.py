@@ -320,10 +320,15 @@ def build_h(d: int, lam: float, hitting: HittingTable, R: int) -> HarmonicH:
             f"lam = {lam} at or below the offset threshold {thr:.6f} for d = {d}"
         )
     b = (4.0 * d * lam * (1.0 - (d + 1) * f1) - 1.0) / (1.0 + 4.0 * d * d * lam)
-    side = 2 * R + 1
-    values = np.empty(side**d)
-    for i in range(side**d):
-        values[i] = hitting.lookup(box_coords(i, d, R)) + b
+    # box points read their class (sorted |coordinates|) by its base-(R + 1) code
+    side, idx = 2 * R + 1, np.arange((2 * R + 1) ** d)
+    mags = np.sort([np.abs(idx // side**axis % side - R) for axis in range(d)], axis=0)
+    weights = (R + 1) ** np.arange(d)
+    keys = np.array(list(hitting.classes))
+    inside = keys[:, -1] <= R
+    table = np.zeros((R + 1) ** d)
+    table[keys[inside] @ weights] = np.array(list(hitting.classes.values()))[inside]
+    values = table[weights @ mags] + b
     return HarmonicH(d, lam, R, b, values)
 
 

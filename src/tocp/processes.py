@@ -16,7 +16,10 @@
 
 All step functions mutate their state argument in place and return it;
 :func:`run` copies on observation.  State "at time t" means after all
-events with time <= t.
+events with time <= t.  :func:`run` and the coupled replays share one
+replay loop that feeds each event to the step rules in order; spin and
+counting arrays replay as Python lists, which are cheaper to index one
+site at a time.
 """
 from __future__ import annotations
 
@@ -70,9 +73,6 @@ class ZetaState:
     values: np.ndarray
     last_update: np.ndarray
 
-    def copy(self) -> "ZetaState":
-        return ZetaState(self.values.copy(), self.last_update.copy())
-
     def synced_values(self, t: float, drift: float) -> np.ndarray:
         """Values drifted to common time ``t`` (non-mutating)."""
         return self.values * np.exp(drift * (t - self.last_update))
@@ -87,15 +87,16 @@ def all_ones_zeta(graph: FiniteGraph) -> ZetaState:
 # single-event transitions
 
 
-def step_eta(config: np.ndarray, event, graph: FiniteGraph) -> np.ndarray:
-    """Apply one event to a spin configuration."""
+def step_eta(config, event, graph: FiniteGraph):
+    """Apply one event to a spin configuration (array or list)."""
     _, x, kind = event
     if kind == HEAL:
         config[x] = 0
-    elif config[x] == 0:
-        adj = graph.adjacency(x)
-        if config[adj].any():
-            config[x] = 1
+    elif not config[x]:
+        for y in graph.adjacency_lists[x]:
+            if config[y]:
+                config[x] = 1
+                break
     return config
 
 
@@ -106,7 +107,7 @@ def step_xi(config: list[int], event, graph: FiniteGraph) -> list[int]:
         config[x] = 0
     else:
         s = 0
-        for y in graph.adjacency(x):
+        for y in graph.adjacency_lists[x]:
             s += config[y]
         config[x] += s
     return config
@@ -119,7 +120,7 @@ def step_zeta(config: ZetaState, event, graph: FiniteGraph, lam: float, d_param:
     for infect events its neighbours) are drift-synced to the event
     time.
     """
-    if not graph.is_regular() or graph.deg[0] != 2 * d_param:
+    if graph.regular_degree != 2 * d_param:
         raise ValueError("zeta dynamics require a 2d-regular graph")
     t, x, kind = event
     drift = 1.0 - 2.0 * lam * d_param
@@ -128,12 +129,13 @@ def step_zeta(config: ZetaState, event, graph: FiniteGraph, lam: float, d_param:
         vals[x] = 0.0
         last[x] = t
         return config
-    adj = graph.adjacency(x)
-    vals[adj] *= np.exp(drift * (t - last[adj]))
-    last[adj] = t
-    vals[x] *= exp(drift * (t - last[x]))
+    s = 0.0
+    for y in graph.adjacency_lists[x]:
+        vals[y] *= exp(drift * (t - last[y]))
+        last[y] = t
+        s += vals[y]
+    vals[x] = vals[x] * exp(drift * (t - last[x])) + s
     last[x] = t
-    vals[x] += vals[adj].sum()
     return config
 
 
@@ -143,7 +145,7 @@ def step_dual(aset: set, event, graph: FiniteGraph) -> set:
     if kind == HEAL:
         aset.discard(x)
     elif x in aset:
-        aset.update(graph.adjacency(x).tolist())
+        aset.update(graph.adjacency_lists[x])
     return aset
 
 
@@ -169,13 +171,34 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
 # ---------------------------------------------------------------------------
 # trajectory driver
 
-_COPIERS = {
-    "eta": lambda s: s.copy(),
-    "xi": lambda s: list(s),
-    "zeta": lambda s: s.copy(),
-    "dual": lambda s: set(s),
-    "branch": lambda s: set(s),
-}
+#: events turned into Python scalars at a time (a whole schedule would take megabytes)
+_EVENT_CHUNK = 4096
+
+_COPIERS = {"eta": lambda s: s.copy(), "xi": list, "dual": set, "branch": set}
+
+
+def _replay(schedule: ClockSchedule, observe_times, steps, observe) -> None:
+    """Feed the schedule's events, in order, to every callable in ``steps``.
+
+    ``observe(t)`` runs for each sorted observation time ``t`` once all
+    events with time <= t are applied; later events are not replayed.
+    """
+    times, verts, kinds = schedule.times, schedule.vertices, schedule.kinds
+    obs = list(observe_times)
+    lo = 0
+    for t_obs, stop in zip(obs, np.searchsorted(times, obs, side="right").tolist()):
+        for a in range(lo, stop, _EVENT_CHUNK):
+            b = min(a + _EVENT_CHUNK, stop)
+            for event in zip(times[a:b].tolist(), verts[a:b].tolist(), kinds[a:b].tolist()):
+                for step in steps:
+                    step(event)
+        lo = max(lo, stop)
+        observe(t_obs)
+
+
+def _mismatches(eta: list, values) -> int:
+    """Sites where the spin differs from the indicator of a positive value."""
+    return sum(1 for e, v in zip(eta, values) if e != (v > 0))
 
 
 def run(
@@ -208,7 +231,7 @@ def run(
         One state copy per observation time (zeta snapshots are
         drift-synced to the observation time).
     """
-    if kind not in _COPIERS:
+    if kind not in _COPIERS and kind != "zeta":
         raise ValueError(f"unknown process kind {kind!r}")
     obs = list(observe_times)
     if any(b < a for a, b in zip(obs, obs[1:])):
@@ -219,35 +242,20 @@ def run(
         if lam is None or d_param is None:
             raise ValueError("zeta needs lam and d_param")
         drift = 1.0 - 2.0 * lam * d_param
-
-    def snapshot(state, t):
-        if kind == "zeta":
-            out = state.copy()
-            out.values = state.synced_values(t, drift)
-            out.last_update = np.full_like(out.last_update, t)
-            return out
-        return _COPIERS[kind](state)
-
-    state = initial
+        out = []
+        _replay(schedule, obs, (lambda ev: step_zeta(initial, ev, graph, lam, d_param),),
+                lambda t: out.append(ZetaState(initial.synced_values(t, drift),
+                                               np.full_like(initial.last_update, t))))
+        return out
+    # an array replays as a list, cheaper to index per event, written back at the end
+    array = isinstance(initial, np.ndarray)
+    state = initial.tolist() if array else initial
+    copy = (lambda s: np.array(s, initial.dtype)) if array and kind == "eta" else _COPIERS[kind]
+    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch}[kind]
     out = []
-    oi = 0
-    step = {
-        "eta": lambda st, ev: step_eta(st, ev, graph),
-        "xi": lambda st, ev: step_xi(st, ev, graph),
-        "zeta": lambda st, ev: step_zeta(st, ev, graph, lam, d_param),
-        "dual": lambda st, ev: step_dual(st, ev, graph),
-        "branch": lambda st, ev: step_branch(st, ev, graph),
-    }[kind]
-    for t, x, k in zip(schedule.times, schedule.vertices, schedule.kinds):
-        while oi < len(obs) and obs[oi] < t:
-            out.append(snapshot(state, obs[oi]))
-            oi += 1
-        if oi == len(obs):
-            break
-        state = step(state, (float(t), int(x), int(k)))
-    while oi < len(obs):
-        out.append(snapshot(state, obs[oi]))
-        oi += 1
+    _replay(schedule, obs, (lambda ev: rule(state, ev, graph),), lambda t: out.append(copy(state)))
+    if array:
+        initial[:] = state
     return out
 
 
@@ -261,28 +269,12 @@ def coupled_run_eta_xi(schedule: ClockSchedule, graph: FiniteGraph, observe_time
     Both processes start from all ones and replay the same schedule; the
     coupling identity says the count is always zero.
     """
-    eta = all_ones_spin(graph)
+    eta = all_ones_spin(graph).tolist()
     xi = all_ones_counts(graph)
-    obs = list(observe_times)
     mismatches = []
-    oi = 0
-
-    def record():
-        ind = np.fromiter((1 if v > 0 else 0 for v in xi), dtype=np.uint8, count=len(xi))
-        mismatches.append(int((ind != eta).sum()))
-
-    for t, x, k in zip(schedule.times, schedule.vertices, schedule.kinds):
-        while oi < len(obs) and obs[oi] < t:
-            record()
-            oi += 1
-        if oi == len(obs):
-            break
-        ev = (float(t), int(x), int(k))
-        step_eta(eta, ev, graph)
-        step_xi(xi, ev, graph)
-    while oi < len(obs):
-        record()
-        oi += 1
+    _replay(schedule, observe_times,
+            (lambda ev: step_eta(eta, ev, graph), lambda ev: step_xi(xi, ev, graph)),
+            lambda _t: mismatches.append(_mismatches(eta, xi)))
     return mismatches
 
 
@@ -290,26 +282,11 @@ def coupled_run_eta_zeta(
     schedule: ClockSchedule, graph: FiniteGraph, observe_times, lam: float, d_param: int
 ):
     """Mismatch counts between eta and the indicator of zeta > 0."""
-    eta = all_ones_spin(graph)
+    eta = all_ones_spin(graph).tolist()
     zeta = all_ones_zeta(graph)
-    obs = list(observe_times)
     mismatches = []
-    oi = 0
-
-    def record():
-        ind = (zeta.values > 0).astype(np.uint8)
-        mismatches.append(int((ind != eta).sum()))
-
-    for t, x, k in zip(schedule.times, schedule.vertices, schedule.kinds):
-        while oi < len(obs) and obs[oi] < t:
-            record()
-            oi += 1
-        if oi == len(obs):
-            break
-        ev = (float(t), int(x), int(k))
-        step_eta(eta, ev, graph)
-        step_zeta(zeta, ev, graph, lam, d_param)
-    while oi < len(obs):
-        record()
-        oi += 1
+    _replay(schedule, observe_times,
+            (lambda ev: step_eta(eta, ev, graph),
+             lambda ev: step_zeta(zeta, ev, graph, lam, d_param)),
+            lambda _t: mismatches.append(_mismatches(eta, zeta.values)))
     return mismatches

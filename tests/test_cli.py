@@ -65,6 +65,17 @@ def test_simulate_dump_schedule(tmp_path, capsys):
     assert s.graph_n == 6 and s.lam == 0.4
 
 
+def test_simulate_dump_schedule_seed_domain(tmp_path, capsys):
+    dump = tmp_path / "clk.bin"
+    argv = ["simulate", "--graph", "torus:d=1,L=6", "--lambda", "0.4", "--t", "1.0",
+            "--replicas", "200", "--dump-schedule", str(dump)]
+    code, _ = run_cli(capsys, *argv, "--seed", str(2**63))
+    assert code == 0
+    assert load_schedule(str(dump)).seed == 2**63
+    assert main(argv + ["--seed", str(2**64)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
+
+
 def test_duality_command(capsys):
     code, out = run_cli(
         capsys, "duality", "--graph", "torus:d=1,L=8", "--lambda", "0.6",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from tocp import clocks
 from tocp.clocks import (
     HEAL,
     INFECT,
@@ -12,12 +13,13 @@ from tocp.clocks import (
     merged_events,
     vertex_stream,
 )
-from tocp.graphs import build_torus
+from tocp.graphs import build_torus, build_tree
 
 
 def test_zero_horizon_is_empty():
     s = build_schedule(build_torus(1, 4), 0.5, 0.0, seed=1)
     assert s.n_events == 0
+    assert len(vertex_stream(1, 0, HEAL, 1.0, -1.0)) == 0
 
 
 def test_zero_rate_has_no_infect_events():
@@ -108,3 +110,74 @@ def test_dump_load_roundtrip(tmp_path):
     assert np.array_equal(r.kinds, s.kinds)
     dump_schedule(r, str(tmp_path / "clocks2.bin"))
     assert (tmp_path / "clocks.bin").read_bytes() == (tmp_path / "clocks2.bin").read_bytes()
+
+
+def test_schedule_is_the_merge_of_vertex_streams():
+    g = build_tree(3, 3)
+    s = build_schedule(g, 0.7, 5.0, seed=17)
+    for x in range(g.n_vertices):
+        for kind, rate in ((HEAL, 1.0), (INFECT, 0.7)):
+            m = (s.vertices == x) & (s.kinds == kind)
+            assert np.array_equal(s.times[m], vertex_stream(17, x, kind, rate, 5.0))
+
+
+def test_stream_is_a_prefix_of_its_longer_horizons():
+    h, n = 20.0, 200
+    short = [vertex_stream(23, x, INFECT, 0.8, h) for x in range(n)]
+    # about one clock in ten runs past its first round of gaps and continues
+    # from that round's counter
+    assert sum(len(t) > clocks._chunk(0.8 * h) for t in short) >= 5
+    for x, t in enumerate(short):
+        long = vertex_stream(23, x, INFECT, 0.8, 50 * h)
+        assert np.array_equal(long[: len(t)], t)
+        assert len(long) == len(t) or long[len(t)] > h
+
+
+def test_rate_only_rescales_the_stream():
+    unit = vertex_stream(29, 4, INFECT, 1.0, 100.0)
+    for rate in (0.37, 1.0, 2.5):
+        t = vertex_stream(29, 4, INFECT, rate, 40.0)
+        np.testing.assert_allclose(t, unit[: len(t)] / rate, rtol=1e-15, atol=0)
+        assert len(t) == np.searchsorted(unit / rate, 40.0, side="right")
+
+
+def test_seed_domain():
+    g = build_torus(1, 4)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            build_schedule(g, 0.5, 1.0, seed=bad)
+        with pytest.raises(ValueError):
+            vertex_stream(bad, 0, HEAL, 1.0, 1.0)
+    assert build_schedule(g, 0.5, 2.0, seed=2**64 - 1).n_events > 0
+
+
+def test_dump_keeps_seeds_above_int64(tmp_path):
+    s = build_schedule(build_torus(1, 4), 0.5, 2.0, seed=2**63)
+    path = tmp_path / "clocks.bin"
+    dump_schedule(s, str(path))
+    assert load_schedule(str(path)).seed == 2**63
+
+
+def test_load_rejects_version_one_and_truncated_dumps(tmp_path):
+    s = build_schedule(build_torus(1, 4), 0.5, 2.0, seed=3)
+    path = tmp_path / "clocks.bin"
+    dump_schedule(s, str(path))
+    data = path.read_bytes()
+    assert data[:8] == b"TOCPCLK2"
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"TOCPCLK1" + data[8:])
+    with pytest.raises(ValueError):
+        load_schedule(str(old))
+    short = tmp_path / "short.bin"
+    short.write_bytes(data[:-1])
+    with pytest.raises(ValueError):
+        load_schedule(str(short))
+
+
+def test_exact_time_ties_break_by_vertex_then_kind(monkeypatch):
+    realized = {1.0: (np.array([1.0, 0.5, 1.0]), np.array([3, 2, 0])),
+                0.7: (np.array([1.0, 1.0]), np.array([1, 3]))}
+    monkeypatch.setattr(clocks, "_realize", lambda _s, _v, _k, rate, _h: realized[rate])
+    s = build_schedule(build_torus(1, 4), 0.7, 2.0, seed=1)
+    assert list(zip(s.times.tolist(), s.vertices.tolist(), s.kinds.tolist())) == [
+        (0.5, 2, HEAL), (1.0, 0, HEAL), (1.0, 1, INFECT), (1.0, 3, HEAL), (1.0, 3, INFECT)]

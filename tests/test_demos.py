@@ -1,0 +1,26 @@
+"""Smoke runs of the demos that drive the clock schedules and the replay."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["01_graphs_and_clocks.py", "02_coupling_identities.py"])
+def test_demo_runs(name):
+    proc = run_demo(name)
+    assert proc.returncode == 0, proc.stderr
+    if name.startswith("02"):
+        assert "counting=0 real=0" in proc.stdout
+        assert "pointwise order preserved: True" in proc.stdout

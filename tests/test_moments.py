@@ -9,6 +9,7 @@ from tocp.moments import (
     ValidityError,
     box_coords,
     box_index,
+    box_size,
     build_h,
     build_q,
     check_harmonic,
@@ -165,6 +166,15 @@ def test_build_h_values():
     assert h.b == pytest.approx(want_b)
     assert h.b > 0
     assert h.values[box_index((0,) * 5, 2)] == pytest.approx(1 + h.b)
+
+
+def test_build_h_matches_pointwise_lookup():
+    # the table reaches past the box, so classes outside it must be skipped
+    for d, R, radius in ((5, 2, 3), (5, 3, 3), (6, 2, 2)):
+        tab = walk.hitting_table(d, radius, n_terms=1500)
+        h = build_h(d, 0.9, tab, R)
+        want = np.array([tab.lookup(box_coords(i, d, R)) + h.b for i in range(box_size(d, R))])
+        assert np.array_equal(h.values, want)
 
 
 def test_check_harmonic_and_fixed_point_small():

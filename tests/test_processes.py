@@ -1,9 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from tocp.clocks import HEAL, INFECT, ClockSchedule, build_schedule
+from tocp.clocks import HEAL, INFECT, ClockSchedule, build_schedule, merged_events
+from tocp.experiments import _subseed, thinned_survival_indicators
 from tocp.graphs import build_torus, build_tree
 from tocp.processes import (
     ZetaState,
@@ -223,3 +225,83 @@ def test_dual_dominates_branching_on_tree():
         branches = run("branch", s, g, {0}, [1.0, 2.0, 3.0])
         for a, b in zip(duals, branches):
             assert b <= a
+
+
+# ---------------------------------------------------------------------------
+# the shared replay loop against a plain loop of the step rules
+
+TORUS = build_torus(2, 4)
+TREE = build_tree(3, 3)
+
+
+def initial_state(kind, graph, rng):
+    V = graph.n_vertices
+    if kind == "eta":
+        return (rng.random(V) < 0.5).astype(np.uint8)
+    if kind == "xi":
+        return rng.integers(0, 3, V).tolist()
+    if kind == "zeta":
+        return ZetaState(rng.random(V), np.zeros(V))
+    return {0, 1} if kind == "dual" else {0}
+
+
+def loop_replay(kind, sched, graph, state, obs, lam, d_param):
+    """Snapshots of the step rules applied one by one over merged_events."""
+    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch}.get(kind)
+    events = list(merged_events(sched))
+    snaps, i = [], 0
+    for t in obs:
+        while i < len(events) and events[i][0] <= t:
+            if kind == "zeta":
+                step_zeta(state, events[i], graph, lam, d_param)
+            else:
+                rule(state, events[i], graph)
+            i += 1
+        if kind == "zeta":
+            drift = 1.0 - 2.0 * lam * d_param
+            snaps.append(ZetaState(state.synced_values(t, drift), np.full(graph.n_vertices, t)))
+        else:
+            snaps.append(copy.deepcopy(state))
+    return snaps, state
+
+
+@pytest.mark.parametrize(
+    "kind,graph",
+    [("eta", TORUS), ("eta", TREE), ("xi", TORUS), ("xi", TREE), ("zeta", TORUS),
+     ("dual", TORUS), ("dual", TREE), ("branch", TREE)],
+)
+def test_run_equals_loop_of_step_rules(kind, graph):
+    lam, d_param = 0.8, 2
+    obs = [0.0, 0.5, 1.5, 1.5, 3.0, 4.0]
+    for seed in range(3):
+        sched = build_schedule(graph, lam, 4.0, seed)
+        init = initial_state(kind, graph, np.random.default_rng(seed))
+        want, final = loop_replay(kind, sched, graph, copy.deepcopy(init), obs, lam, d_param)
+        got = run(kind, sched, graph, init, obs, lam, d_param)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            if kind == "eta":
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            elif kind == "zeta":
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.last_update, b.last_update)
+            else:
+                assert a == b
+        # the initial state is advanced to the last observation, as documented
+        if kind == "zeta":
+            assert np.array_equal(init.values, final.values)
+            assert np.array_equal(init.last_update, final.last_update)
+        elif kind == "eta":
+            assert np.array_equal(init, final)
+        else:
+            assert init == final
+
+
+def test_thinning_top_rate_is_the_unthinned_replay():
+    g = build_torus(1, 6)
+    grid, t, seed = [0.2, 0.5, 0.9], 3.0, 11
+    ind = thinned_survival_indicators(g, grid, t, 40, seed=seed)
+    for rep in range(40):
+        s = build_schedule(g, grid[-1], t, _subseed(seed, 20, rep))
+        assert ind[-1, rep] == run("eta", s, g, all_ones_spin(g), [t])[0][0]
