@@ -110,8 +110,11 @@ def _realize(seed: int, vertices: np.ndarray, kind: int, rate: float, horizon: f
             inside = t <= horizon
             times.append(t[inside])
             rows.append(np.repeat(live, inside.sum(axis=1)))
+            # clocks still inside the horizon after this round draw the next one
             short = inside[:, -1]
-            live, carry, k0 = live[short], sums[short, -1], k0 + n
+            live = live[short]
+            carry = sums[short, -1]
+            k0 += n
     return np.concatenate(times), np.concatenate(rows)
 
 
@@ -151,12 +154,13 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
              for kind, rate in ((HEAL, 1.0), (INFECT, lam))]
     times, verts = (np.concatenate(arrays) for arrays in zip(*parts))
     kinds = np.repeat(np.array([HEAL, INFECT], dtype=np.int8), [len(t) for t, _ in parts])
-    order = np.argsort(times)
+    # drop each unsorted array once it is no longer needed, to bound peak memory
+    del parts
+    order = np.lexsort((kinds, verts, times))
     times = times[order]
-    # exact float ties have probability zero: order by (vertex, kind) only if one shows up
-    if (times[1:] == times[:-1]).any():
-        order = order[np.lexsort((kinds[order], verts[order], times))]
-    return ClockSchedule(V, lam, horizon, seed, times, verts[order], kinds[order])
+    verts = verts[order]
+    kinds = kinds[order]
+    return ClockSchedule(V, lam, horizon, seed, times, verts, kinds)
 
 
 def merged_events(schedule: ClockSchedule):

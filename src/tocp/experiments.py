@@ -57,6 +57,13 @@ class Estimate:
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         return Estimate(p, se, n, seed)
 
+    @staticmethod
+    def from_samples(samples: np.ndarray, seed: int) -> "Estimate":
+        n = len(samples)
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return Estimate(mean, se, n, seed)
+
 
 def survival_probability(
     graph: FiniteGraph, lam: float, t: float, x: int, replicas: int, seed: int
@@ -184,7 +191,7 @@ def thinned_survival_indicators(
             keep = marks < (lam / lam_max if lam_max > 0 else 0.0)
             thinned = ClockSchedule(sched.graph_n, lam, t, rep_seed, sched.times[keep],
                                     sched.vertices[keep], sched.kinds[keep])
-            out[gi, rep] = run("eta", thinned, graph, all_ones_spin(graph), [t])[0][x]
+            out[gi, rep] = run("eta", thinned, graph, all_ones_spin(graph).tolist(), [t])[0][x]
     return out
 
 

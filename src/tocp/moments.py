@@ -321,8 +321,9 @@ def build_h(d: int, lam: float, hitting: HittingTable, R: int) -> HarmonicH:
         )
     b = (4.0 * d * lam * (1.0 - (d + 1) * f1) - 1.0) / (1.0 + 4.0 * d * d * lam)
     # box points read their class (sorted |coordinates|) by its base-(R + 1) code
-    side, idx = 2 * R + 1, np.arange((2 * R + 1) ** d)
-    mags = np.sort([np.abs(idx // side**axis % side - R) for axis in range(d)], axis=0)
+    # (sorting makes the order of the axes in the flat box index irrelevant)
+    side = 2 * R + 1
+    mags = np.sort(np.abs(np.indices((side,) * d).reshape(d, -1) - R), axis=0)
     weights = (R + 1) ** np.arange(d)
     keys = np.array(list(hitting.classes))
     inside = keys[:, -1] <= R

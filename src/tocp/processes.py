@@ -17,9 +17,9 @@
 All step functions mutate their state argument in place and return it;
 :func:`run` copies on observation.  State "at time t" means after all
 events with time <= t.  :func:`run` and the coupled replays share one
-replay loop that feeds each event to the step rules in order; spin and
-counting arrays replay as Python lists, which are cheaper to index one
-site at a time.
+replay loop that feeds each event to the step rules in order.  Spin
+states may be arrays or lists; lists are cheaper to index one site at a
+time.
 """
 from __future__ import annotations
 
@@ -72,6 +72,9 @@ class ZetaState:
 
     values: np.ndarray
     last_update: np.ndarray
+
+    def copy(self) -> "ZetaState":
+        return ZetaState(self.values.copy(), self.last_update.copy())
 
     def synced_values(self, t: float, drift: float) -> np.ndarray:
         """Values drifted to common time ``t`` (non-mutating)."""
@@ -174,7 +177,21 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
 #: events turned into Python scalars at a time (a whole schedule would take megabytes)
 _EVENT_CHUNK = 4096
 
-_COPIERS = {"eta": lambda s: s.copy(), "xi": list, "dual": set, "branch": set}
+
+def _zeta_snapshot(state: ZetaState, t: float, lam: float, d_param: int) -> ZetaState:
+    """The state drift-synced to time ``t``."""
+    drift = 1.0 - 2.0 * lam * d_param
+    return ZetaState(state.synced_values(t, drift), np.full_like(state.last_update, t))
+
+
+#: kind -> (rule(state, event, graph, lam, d_param), snapshot(state, t, lam, d_param))
+_KINDS = {
+    "eta": (lambda s, ev, g, lam, d: step_eta(s, ev, g), lambda s, t, lam, d: s.copy()),
+    "xi": (lambda s, ev, g, lam, d: step_xi(s, ev, g), lambda s, t, lam, d: list(s)),
+    "zeta": (step_zeta, _zeta_snapshot),
+    "dual": (lambda s, ev, g, lam, d: step_dual(s, ev, g), lambda s, t, lam, d: set(s)),
+    "branch": (lambda s, ev, g, lam, d: step_branch(s, ev, g), lambda s, t, lam, d: set(s)),
+}
 
 
 def _replay(schedule: ClockSchedule, observe_times, steps, observe) -> None:
@@ -231,31 +248,19 @@ def run(
         One state copy per observation time (zeta snapshots are
         drift-synced to the observation time).
     """
-    if kind not in _COPIERS and kind != "zeta":
+    if kind not in _KINDS:
         raise ValueError(f"unknown process kind {kind!r}")
     obs = list(observe_times)
     if any(b < a for a, b in zip(obs, obs[1:])):
         raise ValueError("observe_times must be sorted")
     if obs and (obs[0] < 0 or obs[-1] > schedule.horizon):
         raise ValueError("observation time beyond schedule horizon")
-    if kind == "zeta":
-        if lam is None or d_param is None:
-            raise ValueError("zeta needs lam and d_param")
-        drift = 1.0 - 2.0 * lam * d_param
-        out = []
-        _replay(schedule, obs, (lambda ev: step_zeta(initial, ev, graph, lam, d_param),),
-                lambda t: out.append(ZetaState(initial.synced_values(t, drift),
-                                               np.full_like(initial.last_update, t))))
-        return out
-    # an array replays as a list, cheaper to index per event, written back at the end
-    array = isinstance(initial, np.ndarray)
-    state = initial.tolist() if array else initial
-    copy = (lambda s: np.array(s, initial.dtype)) if array and kind == "eta" else _COPIERS[kind]
-    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch}[kind]
+    if kind == "zeta" and (lam is None or d_param is None):
+        raise ValueError("zeta needs lam and d_param")
+    rule, snapshot = _KINDS[kind]
     out = []
-    _replay(schedule, obs, (lambda ev: rule(state, ev, graph),), lambda t: out.append(copy(state)))
-    if array:
-        initial[:] = state
+    _replay(schedule, obs, (lambda ev: rule(initial, ev, graph, lam, d_param),),
+            lambda t: out.append(snapshot(initial, t, lam, d_param)))
     return out
 
 
