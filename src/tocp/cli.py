@@ -14,8 +14,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import experiments, moments, walk
 from .clocks import build_schedule, dump_schedule
 from .graphs import parse_graph_spec
@@ -241,42 +239,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_qcheck(args) -> int:
-    from fractions import Fraction
-
-    d, lam, R = args.d, args.lam, args.radius
-    Q = moments.build_q(d, lam, R, exact=(2 * R + 1) ** d <= 20_000)
-    checks = {}
-    if Q.exact_rows is not None:
-        interior = moments.shell_distances(d, R) <= R - 1
-        ok_rows = True
-        origin = Q.origin
-        for r, cols in Q.exact_rows.items():
-            if not interior[r]:
-                continue
-            s = sum(cols.values())
-            want = 1 + 4 * Fraction(lam) * d * d if r == origin else 0
-            if s != want:
-                ok_rows = False
-        checks["interior_row_sums_exact"] = ok_rows
-    bound = moments.q_norm_bound(Q)
-    v = np.ones(Q.size)
-    ok_norm = True
-    for n in range(1, 6):
-        v = Q.matrix.dot(v)
-        if float(np.abs(v).max()) > bound**n * (1 + 1e-12):
-            ok_norm = False
-    checks["iterated_norm_bound"] = ok_norm
-    probe = np.zeros(Q.size)
-    rng = np.random.Generator(np.random.PCG64(0))
-    cols = rng.integers(0, Q.size, size=min(Q.size, 25))
-    ok_pos = True
-    for c in cols:
-        probe[:] = 0.0
-        probe[c] = 1.0
-        for t in (0.1, 0.5, 1.0):
-            if float(moments.expm_apply(Q, probe, t).min()) < -1e-10:
-                ok_pos = False
-    checks["expm_columns_nonnegative"] = ok_pos
+    checks, _ = moments.q_invariants(moments.build_q(args.d, args.lam, args.radius))
     _emit([{"check": k, "ok": v} for k, v in checks.items()], args.format, args.out)
     return 0 if all(checks.values()) else 2
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import require_materialized
+
 __all__ = [
     "HEAL",
     "INFECT",
@@ -145,6 +147,7 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
         Master seed in ``[0, 2**64)``; per-vertex streams derive from it
         independently.
     """
+    require_materialized(graph)
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if horizon < 0:

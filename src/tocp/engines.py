@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, require_materialized
 
 __all__ = [
     "spin_replicas",
@@ -93,6 +93,7 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices, so no
     sum can wrap, and a larger result raises ``RuntimeError``.
     """
+    require_materialized(graph)
     cn = _closed_neighbourhoods(graph)
     w, V = cn.shape
     stride = V + 1

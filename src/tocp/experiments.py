@@ -228,6 +228,8 @@ def critical_estimate(
     lo, hi = bracket
     if not (0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi")
+    if estimator not in ("auto", "forward", "dual"):
+        raise ValueError(f"unknown estimator {estimator!r}: use auto, forward or dual")
     if estimator == "auto":
         estimator = "dual" if isinstance(graph, LazyTree) else "forward"
     if estimator == "dual":
@@ -280,7 +282,8 @@ def bounds_report(lattice=None, tree=None) -> list[BoundsRow]:
     Trees of branching number n: ``[1/(n+1), 1/(n-1)]``.  Lattices of
     dimension d: lower ``1/(2d)`` always; the upper bound
     ``1/(4d [1 - (d+1) F_d(e1)])`` exists only where the hitting
-    probability is small enough, which fails in low dimension.
+    probability is small enough, which fails in low dimension.  A
+    dimension below 1 raises ``ValueError``.
     """
     rows: list[BoundsRow] = []
     for n in tree or []:
@@ -290,19 +293,14 @@ def bounds_report(lattice=None, tree=None) -> list[BoundsRow]:
         upper = 1.0 / (n - 1)
         rows.append(BoundsRow("tree", n, n + 1, lower, upper, n * lower, n * upper))
     for d in lattice or []:
-        lower = 1.0 / (2 * d)
-        if d <= 2:
-            rows.append(
-                BoundsRow("lattice", d, 2 * d, lower, None, 1.0, None,
-                          note="hypothesis fails: recurrent walk")
-            )
-            continue
         f1 = walk.hitting_prob_e1(d)
+        lower = 1.0 / (2 * d)
         margin = 1.0 - (d + 1) * f1.value
         if margin <= 0:
+            note = ("hypothesis fails: recurrent walk" if f1.recurrent else
+                    f"hypothesis fails: (d+1) F_d(e1) = {(d + 1) * f1.value:.4f} >= 1")
             rows.append(
-                BoundsRow("lattice", d, 2 * d, lower, None, 1.0, None,
-                          note=f"hypothesis fails: (d+1) F_d(e1) = {(d + 1) * f1.value:.4f} >= 1")
+                BoundsRow("lattice", d, 2 * d, lower, None, 1.0, None, note=note)
             )
             continue
         upper = 1.0 / (4.0 * d * margin)

@@ -22,6 +22,7 @@ __all__ = [
     "build_tree",
     "degree",
     "parse_graph_spec",
+    "require_materialized",
     "tree_vertex_count",
 ]
 
@@ -269,6 +270,13 @@ def degree(graph: FiniteGraph, x: int) -> int:
     return int(graph.deg[x])
 
 
+def require_materialized(graph) -> None:
+    """Raise ``ValueError`` unless ``graph`` is a :class:`FiniteGraph`."""
+    if not isinstance(graph, FiniteGraph):
+        raise ValueError(f"{type(graph).__name__} is not materialized; "
+                         "use the dual estimator or a smaller graph")
+
+
 class LazyTree:
     """Truncated rooted tree addressed arithmetically, never materialized.
 
@@ -279,6 +287,7 @@ class LazyTree:
     """
 
     kind = "tree_lazy"
+    regular_degree = None  # leaves have degree 1
 
     def __init__(self, n: int, depth: int, root: str = "son_only"):
         if n < 2:

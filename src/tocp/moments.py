@@ -13,7 +13,8 @@ The bounded vector ``h(x) = F_d(x) + b`` built from the random-walk
 hitting probabilities is annihilated by the full-lattice ``Q`` when the
 offset ``b`` is chosen from the hitting probability of a neighbour; its
 range ratio ``(1 + b)/b`` then bounds the second moment uniformly in
-time.
+time.  :func:`q_invariants` checks the three properties of ``Q`` that
+bound rests on, for both ``tocp qcheck`` and the acceptance suite.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ __all__ = [
     "build_q",
     "q_norm_bound",
     "expm_apply",
+    "exact_row_sums",
+    "q_invariants",
     "integrate_second_moment",
     "build_h",
     "check_harmonic",
@@ -98,17 +101,14 @@ def shell_distances(d: int, R: int) -> np.ndarray:
 class TruncatedQ:
     """Two-point correlation generator on a truncated box.
 
-    ``matrix`` is CSR over box indices; ``exact_rows`` (small boxes
-    only) holds the same entries as exact rationals for bit-true row-sum
-    checks.  Boundary handling is absorbing: couplings pointing outside
-    the box are dropped.
+    ``matrix`` is CSR over box indices.  Boundary handling is absorbing:
+    couplings pointing outside the box are dropped.
     """
 
     d: int
     lam: float
     radius: int
     matrix: sp.csr_matrix
-    exact_rows: dict | None = None
 
     @property
     def size(self) -> int:
@@ -137,7 +137,7 @@ def _origin_pair_targets(d: int):
     return counts
 
 
-def build_q(d: int, lam: float, R: int, exact: bool = False) -> TruncatedQ:
+def build_q(d: int, lam: float, R: int) -> TruncatedQ:
     """Assemble the truncated correlation generator.
 
     Rows x != 0 carry ``-4 lam d`` on the diagonal and ``2 lam`` on each
@@ -179,30 +179,7 @@ def build_q(d: int, lam: float, R: int, exact: bool = False) -> TruncatedQ:
         shape=(size, size),
     ).tocsr()
 
-    exact_rows = None
-    if exact:
-        if size > 20_000:
-            raise ValueError("exact entries only for small boxes")
-        lamf = Fraction(lam)
-        exact_rows = {}
-        coo = matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            r, c = int(r), int(c)
-            if r == origin:
-                if c == origin:
-                    fv = 1 - 2 * lamf * d
-                else:
-                    tgt = box_coords(c, d, R)
-                    if sum(abs(t) for t in tgt) == 1:
-                        fv = 2 * lamf
-                    else:
-                        fv = lamf * pair_targets[tgt]
-            elif c == r:
-                fv = -4 * lamf * d
-            else:
-                fv = 2 * lamf
-            exact_rows.setdefault(r, {})[c] = fv
-    return TruncatedQ(d, lam, R, matrix, exact_rows)
+    return TruncatedQ(d, lam, R, matrix)
 
 
 def q_norm_bound(Q: TruncatedQ) -> float:
@@ -213,10 +190,11 @@ def q_norm_bound(Q: TruncatedQ) -> float:
 def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float = 1e-13) -> np.ndarray:
     """Action ``exp(tQ) v`` by substepped truncated Taylor series.
 
-    The horizon is split so each substep has ``||Q||_inf * dt <= 1/2``;
-    within a substep terms are accumulated until two consecutive terms
-    fall below ``rtol`` relative to the running result.  Target accuracy
-    is well past the 1e-10 contract.
+    ``v`` is a vector or a block of columns.  The horizon is split so
+    each substep has ``||Q||_inf * dt <= 1/2``; within a substep terms are
+    accumulated until two consecutive terms fall below ``rtol`` relative
+    to the largest entry of the running result.  Target accuracy is well
+    past the 1e-10 contract.
     """
     A = Q.matrix if isinstance(Q, TruncatedQ) else Q
     if t < 0:
@@ -242,6 +220,78 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float
                 small = 0
         w = acc
     return w
+
+
+def exact_row_sums(Q: TruncatedQ) -> np.ndarray:
+    """Row sums of ``Q`` as exact rationals (an object array of ``Fraction``).
+
+    Every stored entry is valued by its role, in rationals of the float
+    ``lam``, explicit zeros included: the origin diagonal ``1 - 2 lam d``
+    can round to 0.0 (``lam = 0.1``, ``d = 5``) where the rational is not
+    0.  Off the origin the diagonal is ``-4 lam d`` and every other entry
+    ``2 lam``, so those rows are summed from entry counts; the origin row
+    is summed entry by entry from each column's displacement.
+    """
+    d, R, lam, origin = Q.d, Q.radius, Fraction(Q.lam), Q.origin
+    A = Q.matrix.tocoo()
+    rows, cols, vals = A.row, A.col, A.data
+    # a row's kind is 2 * (off-diagonal count) + (diagonal count, 0 or 1)
+    n_diag = np.bincount(rows[rows == cols], minlength=Q.size)
+    kinds, which = np.unique(2 * np.bincount(rows, minlength=Q.size) - n_diag, return_inverse=True)
+    by_kind = np.empty(len(kinds), dtype=object)
+    by_kind[:] = [-4 * lam * d * (k % 2) + 2 * lam * (k // 2) for k in kinds.tolist()]
+    sums = by_kind[which]
+    pairs = _origin_pair_targets(d)
+    total = Fraction(0)
+    at0 = rows == origin
+    for c, v in zip(cols[at0].tolist(), vals[at0].tolist()):
+        tgt = box_coords(c, d, R)
+        steps = sum(abs(x) for x in tgt)
+        if steps == 0:
+            total += 1 - 2 * lam * d
+        elif steps == 1:
+            total += 2 * lam
+        else:  # an entry at a displacement with no coupling keeps its stored value
+            total += lam * pairs[tgt] if tgt in pairs else Fraction(v)
+    sums[origin] = total
+    return sums
+
+
+# entries per exp(tQ) block in q_invariants: about 4 MB for each of the
+# solver's working arrays, whatever the box size
+_EXPM_BLOCK_ENTRIES = 2**19
+
+
+def q_invariants(Q: TruncatedQ) -> tuple[dict[str, bool], float]:
+    """Verdicts on the three properties behind the uniform second-moment
+    bound, by name, and the smallest ``exp(tQ)`` entry seen.
+
+    Interior rows sum exactly to 0 and the origin row to ``1 + 4 lam d**2``
+    (:func:`exact_row_sums`); ``max |Q**k 1| <= q_norm_bound(Q)**k`` for
+    k = 1..5; no ``exp(tQ)`` entry is below -1e-10 at t = 0.1, 0.5 and 1,
+    on every column of boxes of up to 400 points, 25 seeded columns beyond,
+    in blocks of at most ``_EXPM_BLOCK_ENTRIES`` entries.
+    """
+    residual = exact_row_sums(Q)
+    residual[Q.origin] -= 1 + 4 * Fraction(Q.lam) * Q.d**2
+    rows_ok = not any(residual[shell_distances(Q.d, Q.radius) <= Q.radius - 1])
+    bound = q_norm_bound(Q)
+    v = np.ones(Q.size)
+    norm_ok = True
+    for k in range(1, 6):
+        v = Q.matrix.dot(v)
+        norm_ok = norm_ok and float(np.abs(v).max()) <= bound**k
+    cols = (np.arange(Q.size) if Q.size <= 400
+            else np.random.default_rng(0).choice(Q.size, 25, replace=False))
+    step = max(1, _EXPM_BLOCK_ENTRIES // Q.size)
+    min_entry = math.inf
+    for part in np.split(cols, range(step, len(cols), step)):
+        block = np.zeros((Q.size, len(part)))
+        block[part, np.arange(len(part))] = 1.0
+        min_entry = min(min_entry, *(float(expm_apply(Q, block, t).min()) for t in (0.1, 0.5, 1.0)))
+    verdicts = {"interior_row_sums_exact": rows_ok, "iterated_norm_bound": norm_ok,
+                "expm_columns_nonnegative": min_entry >= -1e-10}
+    return verdicts, min_entry
 
 
 @dataclass

@@ -329,6 +329,8 @@ def green_function(d: int, truncation_N: float | None = None) -> GreenResult:
 
 def hitting_prob_e1(d: int, truncation_N: float | None = None) -> HittingE1:
     """``F_d(e1) = (G - 1)/G``; returns 1.0 flagged recurrent for d <= 2."""
+    if d < 1:
+        raise ValueError("dimension d must be >= 1")
     if d <= 2:
         return HittingE1(1.0, 0.0, True)
     return green_function(d, truncation_N).hitting_e1()

@@ -96,27 +96,8 @@ def test_criterion_05_branching_thresholds():
 
 
 def test_criterion_09_q_invariants():
-    d, lam, R = 2, 0.3, 6
-    Q = build_q(d, lam, R, exact=True)
-    interior = moments.shell_distances(d, R) <= R - 1
-    lamf = Fraction(lam)
-    rows_ok = True
-    for r, cols in Q.exact_rows.items():
-        if not interior[r]:
-            continue
-        want = 1 + 4 * lamf * d * d if r == Q.origin else Fraction(0)
-        if sum(cols.values()) != want:
-            rows_ok = False
-    bound = moments.q_norm_bound(Q)
-    v = np.ones(Q.size)
-    norm_ok = True
-    for k in range(1, 6):
-        v = Q.matrix.dot(v)
-        if np.abs(v).max() > bound**k:
-            norm_ok = False
-    eye = np.eye(Q.size)
-    min_entry = min(float(expm_apply(Q, eye, t).min()) for t in (0.1, 0.5, 1.0))
-    pos_ok = min_entry >= -1e-10
+    # 169 points: every column of exp(tQ) is checked
+    checks, min_entry = moments.q_invariants(build_q(2, 0.3, 6))
 
     Q1 = build_q(1, 0.3, 2)
     A = Q1.matrix.toarray()
@@ -131,8 +112,9 @@ def test_criterion_09_q_invariants():
     series_err = float(np.abs(expm_apply(Q1, w, 1.0) - acc).max())
     report(
         9,
-        rows_ok and norm_ok and pos_ok and series_err < 1e-12,
-        f"row sums exact: {rows_ok}; iterated norm within (1+8ld+4ld^2)^n: {norm_ok}; "
+        all(checks.values()) and series_err < 1e-12,
+        f"row sums exact: {checks['interior_row_sums_exact']}; iterated norm within "
+        f"(1+8ld+4ld^2)^n: {checks['iterated_norm_bound']}; "
         f"min exp(tQ) entry {min_entry:.1e}; dense-series deviation {series_err:.1e}",
     )
 

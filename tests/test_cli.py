@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tocp import engines, walk
+from tocp import clocks, engines, moments, walk
 from tocp.cli import main
 from tocp.clocks import load_schedule
 
@@ -164,11 +164,73 @@ def test_bounds_command(capsys):
     assert lat["upper"] == "n/a"
 
 
+QCHECK_ROWS = ["interior_row_sums_exact", "iterated_norm_bound", "expm_columns_nonnegative"]
+
+
 def test_qcheck_command(capsys):
+    for radius in ("4", "6"):
+        code, out = run_cli(capsys, "qcheck", "--d", "2", "--lambda", "0.3", "--radius", radius)
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["check"] for r in rows] == QCHECK_ROWS
+        assert all(r["ok"] == "True" for r in rows)
+
+
+def test_qcheck_failed_check_exit_code(capsys, monkeypatch):
+    build_q = moments.build_q
+
+    def scaled(*args):
+        Q = build_q(*args)
+        Q.matrix = Q.matrix * 3.0  # past the iterated norm bound
+        return Q
+
+    monkeypatch.setattr(moments, "build_q", scaled)
     code, out = run_cli(capsys, "qcheck", "--d", "2", "--lambda", "0.3", "--radius", "4")
-    assert code == 0
-    rows = parse_csv(out)
-    assert all(r["ok"] == "True" for r in rows)
+    assert code == 2
+    ok = {r["check"]: r["ok"] for r in parse_csv(out)}
+    assert ok == {"interior_row_sums_exact": "True", "iterated_norm_bound": "False",
+                  "expm_columns_nonnegative": "True"}
+
+
+LAZY_TREE = "tree:n=2,depth=21"  # 4,194,303 vertices: parsed as a LazyTree
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--graph", LAZY_TREE, "--lambda", "0.5", "--t", "1.0"],
+    ["simulate", "--graph", LAZY_TREE, "--lambda", "0.5", "--t", "1.0", "--per-replica"],
+    ["scan", "--graph", LAZY_TREE, "--lambda-grid", "0.2:0.4:0.2", "--t", "1.0"],
+    ["duality", "--graph", LAZY_TREE, "--lambda", "0.5", "--t", "1.0"],
+])
+def test_forward_commands_refuse_lazy_tree(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: LazyTree is not materialized")
+    assert captured.out == ""
+
+
+def test_dump_schedule_refuses_lazy_tree_before_drawing(tmp_path, capsys, monkeypatch):
+    def drawn(*_a):
+        raise AssertionError("a schedule was drawn")
+
+    monkeypatch.setattr(clocks, "_realize", drawn)
+    path = tmp_path / "s.bin"
+    code = main(["simulate", "--graph", LAZY_TREE, "--lambda", "0.5", "--t", "0.01",
+                 "--dump-schedule", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: LazyTree is not materialized")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lattice", "0"],
+    ["bounds", "--lattice", "-2"],
+    ["green", "--d", "0"],
+])
+def test_dimension_below_one_exit_code(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code(capsys):

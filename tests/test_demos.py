@@ -1,4 +1,5 @@
-"""Smoke runs of the demos that drive the clock schedules and the replay."""
+"""Smoke runs of the demos: clock schedules and replay, the moment matrix and
+the critical-rate estimators."""
 import os
 import subprocess
 import sys
@@ -17,10 +18,16 @@ def run_demo(name):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("name", ["01_graphs_and_clocks.py", "02_coupling_identities.py"])
+@pytest.mark.parametrize("name", ["01_graphs_and_clocks.py", "02_coupling_identities.py",
+                                  "05_moment_matrix.py", "06_critical_rate.py"])
 def test_demo_runs(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
     if name.startswith("02"):
         assert "counting=0 real=0" in proc.stdout
         assert "pointwise order preserved: True" in proc.stdout
+    if name.startswith("05"):
+        assert "d=3 rejected as expected" in proc.stdout
+    if name.startswith("06"):
+        assert "via forward" in proc.stdout
+        assert "via dual" in proc.stdout

@@ -5,7 +5,7 @@ import pytest
 
 from tocp import engines
 from tocp.clocks import build_schedule
-from tocp.graphs import build_torus, build_tree
+from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_spin, run
 
 
@@ -154,6 +154,20 @@ def test_reals_rejects_irregular_graph():
     g = build_tree(2, 3)
     with pytest.raises(ValueError):
         engines.reals_replicas(g, 0.3, 1, [1.0], 0, 100, seed=1)
+
+
+def test_lockstep_and_schedules_refuse_lazy_tree():
+    lz = LazyTree(2, 21)  # 4,194,303 vertices, none stored
+    calls = [
+        lambda: engines.spin_replicas(lz, 0.5, [1.0], 0, 100, seed=1),
+        lambda: engines.counts_replicas(lz, 0.5, [1.0], 0, 100, seed=1),
+        lambda: build_schedule(lz, 0.5, 0.01, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not materialized"):
+            call()
+    with pytest.raises(ValueError, match="2d-regular"):
+        engines.reals_replicas(lz, 0.5, 1, [1.0], 0, 100, seed=1)
 
 
 def test_set_survival_matches_run_dual():

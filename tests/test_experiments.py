@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tocp import engines
 from tocp.experiments import (
     Estimate,
     bounds_report,
@@ -148,6 +149,24 @@ def test_critical_estimate_dual_on_lazy_tree():
     assert 0.1 <= res.lo < res.hi <= 0.6
 
 
+def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
+    def evaluated(*_a, **_k):
+        raise AssertionError("survival was evaluated")
+
+    monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
+    for graph in (build_torus(1, 8), LazyTree(4, 8)):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            critical_estimate(graph, (0.1, 0.6), 4.0, 300, threshold=0.05, tol=0.1, seed=13,
+                              estimator="foward")
+
+
+def test_critical_estimate_forward_refuses_lazy_tree():
+    with pytest.raises(ValueError, match="not materialized"):
+        critical_estimate(LazyTree(4, 8), (0.1, 0.6), 4.0, 300, threshold=0.05, tol=0.1,
+                          seed=13, estimator="forward")
+
+
 def test_critical_estimate_invalid_bracket():
     g = build_torus(1, 8)
     with pytest.raises(ValueError):
@@ -161,6 +180,12 @@ def test_bounds_report_trees():
     assert by_n[10].lower_x_degree == pytest.approx(10 / 11)
     assert by_n[10].upper_x_degree == pytest.approx(10 / 9)
     assert by_n[2].lower == 1 / 3 and by_n[2].upper == 1.0
+
+
+def test_bounds_report_rejects_dimension_below_one():
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="dimension"):
+            bounds_report(lattice=[3, d])
 
 
 def test_bounds_report_lattice():

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tocp import moments, walk
 from tocp.moments import (
+    TruncatedQ,
     ValidityError,
     box_coords,
     box_index,
@@ -13,9 +15,11 @@ from tocp.moments import (
     build_h,
     build_q,
     check_harmonic,
+    exact_row_sums,
     expm_apply,
     integrate_second_moment,
     mean_xi_closed_form,
+    q_invariants,
     q_norm_bound,
     second_moment_bound,
     shell_distances,
@@ -53,16 +57,58 @@ def test_build_q_rejects_small_radius():
         build_q(2, 0.3, 1)
 
 
+def per_entry_row_sums(Q):
+    """Reference: every stored entry valued by its role, one by one."""
+    d, R, lamf = Q.d, Q.radius, Fraction(Q.lam)
+    pairs = moments._origin_pair_targets(d)
+    sums = {}
+    coo = Q.matrix.tocoo()
+    for r, c in zip(coo.row.tolist(), coo.col.tolist()):
+        if r == Q.origin:
+            tgt = box_coords(c, d, R)
+            if c == r:
+                fv = 1 - 2 * lamf * d
+            elif sum(abs(v) for v in tgt) == 1:
+                fv = 2 * lamf
+            else:
+                fv = lamf * pairs[tgt]
+        elif c == r:
+            fv = -4 * lamf * d
+        else:
+            fv = 2 * lamf
+        sums[r] = sums.get(r, Fraction(0)) + fv
+    return sums
+
+
 def test_row_sums_exact():
     d, lam, R = 2, 0.3, 4
-    Q = build_q(d, lam, R, exact=True)
+    Q = build_q(d, lam, R)
+    sums = exact_row_sums(Q)
     interior = shell_distances(d, R) <= R - 1
     lamf = Fraction(lam)
-    for r, cols in Q.exact_rows.items():
-        if not interior[r]:
-            continue
+    for r in np.flatnonzero(interior):
         want = 1 + 4 * lamf * d * d if r == Q.origin else Fraction(0)
-        assert sum(cols.values()) == want
+        assert sums[r] == want
+
+
+@pytest.mark.parametrize("d, lam, R", [(1, 0.3, 2), (2, 0.3, 6), (2, 0.35, 4), (3, 0.4, 3),
+                                       (5, 0.1, 2), (3, 1 / 6, 2)])
+def test_exact_row_sums_match_per_entry_sums(d, lam, R):
+    Q = build_q(d, lam, R)
+    sums = exact_row_sums(Q)
+    want = per_entry_row_sums(Q)
+    assert len(want) == Q.size
+    assert all(sums[r] == s for r, s in want.items())
+
+
+@pytest.mark.parametrize("d, lam", [(5, 0.1), (3, 1 / 6)])
+def test_q_invariants_at_lattice_lower_bound(d, lam):
+    # lam = 1/(2d): the float origin diagonal 1 - 2 lam d is stored as an
+    # explicit 0.0, while the rational of the float lam leaves it nonzero
+    Q = build_q(d, lam, 2)
+    assert Q.matrix[Q.origin, Q.origin] == 0.0
+    assert 1 - 2 * Fraction(lam) * d != 0
+    assert q_invariants(Q)[0]["interior_row_sums_exact"]
 
 
 def test_off_diagonal_structure_is_nonnegative():
@@ -121,6 +167,66 @@ def test_expm_columns_nonnegative():
             assert expm_apply(Q, probe, t).min() >= -1e-10
 
 
+def test_expm_block_matches_dense_expm():
+    Q = build_q(2, 0.3, 3)
+    A = Q.matrix.toarray()
+    for t in (0.1, 1.0, 5.0):
+        assert np.abs(expm_apply(Q, np.eye(Q.size), t) - scipy.linalg.expm(t * A)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, lam, R", [(1, 0.3, 2), (2, 0.3, 6), (3, 0.3, 4)])
+def test_q_invariants_hold(d, lam, R):
+    # (3, 0.3, 4) has 729 points, so its exp(tQ) columns are sampled
+    checks, min_entry = q_invariants(build_q(d, lam, R))
+    assert all(checks.values())
+    assert min_entry >= -1e-10
+
+
+def mutated(Q, edit):
+    A = Q.matrix.tolil()
+    edit(A)
+    return TruncatedQ(Q.d, Q.lam, Q.radius, A.tocsr())
+
+
+@pytest.mark.parametrize("row", [(1, 1), (0, 0)])
+def test_q_invariants_catch_dropped_entry(row):
+    Q = build_q(2, 0.3, 4)
+    x = box_index(row, 4)
+    y = box_index((row[0], row[1] + 1), 4)
+
+    def drop(A):
+        A[x, y] = 0.0  # removes the entry from the LIL structure
+
+    assert not q_invariants(mutated(Q, drop))[0]["interior_row_sums_exact"]
+
+
+def test_q_invariants_catch_stray_origin_entry():
+    Q = build_q(2, 0.3, 4)
+
+    def stray(A):
+        A[Q.origin, box_index((3, 0), 4)] = 0.3  # three steps out: no coupling
+
+    assert not q_invariants(mutated(Q, stray))[0]["interior_row_sums_exact"]
+
+
+def test_q_invariants_catch_negative_entry():
+    Q = build_q(2, 0.3, 4)
+    x, y = box_index((1, 1), 4), box_index((1, 2), 4)
+
+    def negate(A):
+        A[x, y] = -0.6
+
+    checks, min_entry = q_invariants(mutated(Q, negate))
+    assert not checks["expm_columns_nonnegative"]
+    assert min_entry < -1e-10
+
+
+def test_q_invariants_catch_norm_excess():
+    Q = build_q(2, 0.3, 4)
+    checks, _ = q_invariants(TruncatedQ(Q.d, Q.lam, Q.radius, Q.matrix * 3.0))
+    assert not checks["iterated_norm_bound"]
+
+
 def test_second_moment_initial_conditions():
     res = integrate_second_moment(2, 0.3, 4, [0.0])
     assert res.g0[0] == 1.0
@@ -136,12 +242,13 @@ def test_second_moment_initial_conditions():
 
 
 def test_harmonic_on_constants_vanishes_off_origin():
-    Q = build_q(2, 0.35, 4, exact=True)
+    Q = build_q(2, 0.35, 4)
+    sums = exact_row_sums(Q)
     interior = shell_distances(2, 4) <= 3
     c = Fraction(7, 3)
-    for r, cols in Q.exact_rows.items():
-        if interior[r] and r != Q.origin:
-            assert sum(v * c for v in cols.values()) == 0
+    for r in np.flatnonzero(interior):
+        if r != Q.origin:
+            assert sums[r] * c == 0
     resid = Q.matrix.dot(np.full(Q.size, 2.5))
     mask = interior.copy()
     mask[Q.origin] = False

@@ -157,6 +157,12 @@ def test_hitting_prob_recurrent_flag():
     assert h.value == 1.0 and h.recurrent
 
 
+def test_hitting_prob_rejects_dimension_below_one():
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            walk.hitting_prob_e1(d)
+
+
 def test_hitting_prob_d3():
     h = walk.hitting_prob_e1(3)
     assert abs(h.value - 0.3405373) < 1e-4
