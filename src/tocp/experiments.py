@@ -57,13 +57,6 @@ class Estimate:
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         return Estimate(p, se, n, seed)
 
-    @staticmethod
-    def from_samples(samples: np.ndarray, seed: int) -> "Estimate":
-        n = len(samples)
-        mean = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return Estimate(mean, se, n, seed)
-
 
 def survival_probability(
     graph: FiniteGraph, lam: float, t: float, x: int, replicas: int, seed: int

@@ -89,9 +89,6 @@ class FiniteGraph:
 
         return fn
 
-    def is_regular(self) -> bool:
-        return self.regular_degree is not None
-
     @cached_property
     def regular_degree(self) -> int | None:
         """The common degree if every vertex has it, else ``None`` (computed once)."""

@@ -187,39 +187,82 @@ def q_norm_bound(Q: TruncatedQ) -> float:
     return 1.0 + 8.0 * Q.lam * Q.d + 4.0 * Q.lam * Q.d**2
 
 
-def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float = 1e-13) -> np.ndarray:
-    """Action ``exp(tQ) v`` by substepped truncated Taylor series.
+def _power_norm(A, diag: np.ndarray, mu: float) -> float:
+    """``min over p <= 8 of max(|B|**p 1)**(1/p)`` for ``B = A + mu I``,
+    applying ``|B| x = |A| x + (|diag A + mu| - |diag A|) x`` without
+    forming ``B``; the copy ``|A|`` is freed on return."""
+    abs_a, shift = abs(A), np.abs(diag + mu) - np.abs(diag)
+    powers = np.ones(A.shape[0])
+    alpha = math.inf
+    for p in range(1, 9):
+        powers = abs_a.dot(powers) + shift * powers
+        alpha = min(alpha, float(powers.max()) ** (1.0 / p))
+    return alpha
 
-    ``v`` is a vector or a block of columns.  The horizon is split so
-    each substep has ``||Q||_inf * dt <= 1/2``; within a substep terms are
-    accumulated until two consecutive terms fall below ``rtol`` relative
-    to the largest entry of the running result.  Target accuracy is well
-    past the 1e-10 contract.
+
+def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float = 1e-13) -> np.ndarray:
+    """Action ``exp(tQ) v`` by substepped, shifted truncated Taylor series.
+
+    ``v`` is a vector or a block of columns.  With ``mu = max(0, -min diag Q)``
+    each substep sums the series of ``exp(tau B)``, ``B = Q + mu I``, and
+    multiplies by ``exp(-mu tau)``; for a Metzler ``Q`` (every off-diagonal
+    entry nonnegative) ``B`` is entrywise nonnegative, so a nonnegative
+    ``v`` sums without cancellation, and ``exp(mu t)`` is never formed
+    whole, so it cannot overflow.  Substeps are sized from power norms, as
+    in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011): ``tau * alpha <=
+    2`` with ``alpha = min over p <= 8 of max(|B|**p 1)**(1/p)``, which is
+    ``||B**p||_inf**(1/p)`` for a Metzler ``Q`` and an upper bound on it
+    otherwise.  Within a substep terms are accumulated until two
+    consecutive terms fall below ``rtol`` relative to the largest entry of
+    the running result.  Target accuracy is well past the 1e-10 contract.
     """
     A = Q.matrix if isinstance(Q, TruncatedQ) else Q
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     w = np.asarray(v, dtype=np.float64).copy()
     if t == 0 or not w.any():
         return w
-    norm = float(np.abs(A).sum(axis=1).max())
-    n_sub = max(1, int(math.ceil(norm * t / 0.5)))
+    diag = A.diagonal()
+    mu = max(0.0, -float(diag.min()))
+    n_sub = max(1, math.ceil(_power_norm(A, diag, mu) * t / 2.0))
     tau = t / n_sub
+    decay = math.exp(-mu * tau)
     for _ in range(n_sub):
         term = w.copy()
-        acc = w.copy()
         small = 0
         for k in range(1, 120):
-            term = A.dot(term) * (tau / k)
-            acc += term
-            if np.max(np.abs(term)) <= rtol * max(np.max(np.abs(acc)), 1e-300):
+            a_term = A.dot(term)
+            term *= mu
+            term += a_term
+            term *= tau / k
+            w += term
+            if np.max(np.abs(term)) <= rtol * max(np.max(np.abs(w)), 1e-300):
                 small += 1
                 if small >= 2:
                     break
             else:
                 small = 0
-        w = acc
+        w *= decay
     return w
+
+
+def _origin_row_roles(Q: TruncatedQ, cols: np.ndarray, vals: np.ndarray) -> list[Fraction]:
+    """Role value of each origin-row entry, from its column's displacement,
+    as an exact rational; an entry at a displacement with no coupling
+    keeps its stored value."""
+    d, R, lam = Q.d, Q.radius, Fraction(Q.lam)
+    pairs = _origin_pair_targets(d)
+    roles = []
+    for c, v in zip(cols.tolist(), vals.tolist()):
+        tgt = box_coords(c, d, R)
+        steps = sum(abs(x) for x in tgt)
+        if steps == 0:
+            roles.append(1 - 2 * lam * d)
+        elif steps == 1:
+            roles.append(2 * lam)
+        else:
+            roles.append(lam * pairs[tgt] if tgt in pairs else Fraction(v))
+    return roles
 
 
 def exact_row_sums(Q: TruncatedQ) -> np.ndarray:
@@ -232,29 +275,31 @@ def exact_row_sums(Q: TruncatedQ) -> np.ndarray:
     ``2 lam``, so those rows are summed from entry counts; the origin row
     is summed entry by entry from each column's displacement.
     """
-    d, R, lam, origin = Q.d, Q.radius, Fraction(Q.lam), Q.origin
+    d, lam, origin = Q.d, Fraction(Q.lam), Q.origin
     A = Q.matrix.tocoo()
-    rows, cols, vals = A.row, A.col, A.data
+    rows, cols = A.row, A.col
     # a row's kind is 2 * (off-diagonal count) + (diagonal count, 0 or 1)
     n_diag = np.bincount(rows[rows == cols], minlength=Q.size)
     kinds, which = np.unique(2 * np.bincount(rows, minlength=Q.size) - n_diag, return_inverse=True)
     by_kind = np.empty(len(kinds), dtype=object)
     by_kind[:] = [-4 * lam * d * (k % 2) + 2 * lam * (k // 2) for k in kinds.tolist()]
     sums = by_kind[which]
-    pairs = _origin_pair_targets(d)
-    total = Fraction(0)
     at0 = rows == origin
-    for c, v in zip(cols[at0].tolist(), vals[at0].tolist()):
-        tgt = box_coords(c, d, R)
-        steps = sum(abs(x) for x in tgt)
-        if steps == 0:
-            total += 1 - 2 * lam * d
-        elif steps == 1:
-            total += 2 * lam
-        else:  # an entry at a displacement with no coupling keeps its stored value
-            total += lam * pairs[tgt] if tgt in pairs else Fraction(v)
-    sums[origin] = total
+    sums[origin] = sum(_origin_row_roles(Q, cols[at0], A.data[at0]), Fraction(0))
     return sums
+
+
+def _rows_storing_roles(Q: TruncatedQ) -> np.ndarray:
+    """Per row, whether every stored entry is within ``4 eps q_norm_bound(Q)``
+    of its role value: :func:`exact_row_sums` reads roles, not the stored
+    floats, so a scaled entry would otherwise go unseen."""
+    A = Q.matrix.tocoo()
+    lam = Fraction(Q.lam)
+    role = np.where(A.row == A.col, float(-4 * lam * Q.d), float(2 * lam))
+    at0 = A.row == Q.origin
+    role[at0] = [float(r) for r in _origin_row_roles(Q, A.col[at0], A.data[at0])]
+    bad = np.abs(A.data - role) > 4 * np.finfo(np.float64).eps * q_norm_bound(Q)
+    return np.bincount(A.row[bad], minlength=Q.size) == 0
 
 
 # entries per exp(tQ) block in q_invariants: about 4 MB for each of the
@@ -267,14 +312,17 @@ def q_invariants(Q: TruncatedQ) -> tuple[dict[str, bool], float]:
     bound, by name, and the smallest ``exp(tQ)`` entry seen.
 
     Interior rows sum exactly to 0 and the origin row to ``1 + 4 lam d**2``
-    (:func:`exact_row_sums`); ``max |Q**k 1| <= q_norm_bound(Q)**k`` for
-    k = 1..5; no ``exp(tQ)`` entry is below -1e-10 at t = 0.1, 0.5 and 1,
-    on every column of boxes of up to 400 points, 25 seeded columns beyond,
-    in blocks of at most ``_EXPM_BLOCK_ENTRIES`` entries.
+    (:func:`exact_row_sums`), and their stored entries match their role
+    values to ``4 eps q_norm_bound(Q)``; ``max |Q**k 1| <=
+    q_norm_bound(Q)**k`` for k = 1..5; no ``exp(tQ)`` entry is below
+    -1e-10 at t = 0.1, 0.5 and 1, on every column of boxes of up to 400
+    points, 25 seeded columns beyond, in blocks of at most
+    ``_EXPM_BLOCK_ENTRIES`` entries.
     """
     residual = exact_row_sums(Q)
     residual[Q.origin] -= 1 + 4 * Fraction(Q.lam) * Q.d**2
-    rows_ok = not any(residual[shell_distances(Q.d, Q.radius) <= Q.radius - 1])
+    interior = shell_distances(Q.d, Q.radius) <= Q.radius - 1
+    rows_ok = not any(residual[interior]) and bool(_rows_storing_roles(Q)[interior].all())
     bound = q_norm_bound(Q)
     v = np.ones(Q.size)
     norm_ok = True
@@ -310,8 +358,8 @@ def integrate_second_moment(d: int, lam: float, R: int, times) -> SecondMomentRe
     ``G_t(0)`` already in contact with the absorbing boundary.
     """
     ts = sorted(times)
-    if ts and ts[0] < 0:
-        raise ValueError("times must be >= 0")
+    if not all(math.isfinite(t) and t >= 0 for t in ts):
+        raise ValueError(f"times must be finite and >= 0, got {ts}")
     Q = build_q(d, lam, R)
     outer = shell_distances(d, R) >= R - 1
     e0 = np.zeros(Q.size)

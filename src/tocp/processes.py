@@ -73,9 +73,6 @@ class ZetaState:
     values: np.ndarray
     last_update: np.ndarray
 
-    def copy(self) -> "ZetaState":
-        return ZetaState(self.values.copy(), self.last_update.copy())
-
     def synced_values(self, t: float, drift: float) -> np.ndarray:
         """Values drifted to common time ``t`` (non-mutating)."""
         return self.values * np.exp(drift * (t - self.last_update))

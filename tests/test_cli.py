@@ -154,6 +154,15 @@ def test_moments_command(capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf"])
+def test_moments_non_finite_time_exit_code(capsys, times):
+    code = main(["moments", "--d", "2", "--lambda", "0.3", "--radius", "2", "--times", times])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: times must be finite")
+    assert captured.out == ""
+
+
 def test_bounds_command(capsys):
     code, out = run_cli(capsys, "bounds", "--tree", "2,3,4", "--lattice", "3")
     assert code == 0
@@ -188,8 +197,27 @@ def test_qcheck_failed_check_exit_code(capsys, monkeypatch):
     code, out = run_cli(capsys, "qcheck", "--d", "2", "--lambda", "0.3", "--radius", "4")
     assert code == 2
     ok = {r["check"]: r["ok"] for r in parse_csv(out)}
-    assert ok == {"interior_row_sums_exact": "True", "iterated_norm_bound": "False",
+    # every stored entry is off its role value, so the row-sum check fails too
+    assert ok == {"interior_row_sums_exact": "False", "iterated_norm_bound": "False",
                   "expm_columns_nonnegative": "True"}
+
+
+def test_qcheck_corrupted_entry_exit_code(capsys, monkeypatch):
+    build_q = moments.build_q
+
+    def corrupted(*args):
+        Q = build_q(*args)
+        A = Q.matrix.tolil()
+        A[moments.box_index((1, 1), 4), moments.box_index((1, 2), 4)] *= 1.5
+        Q.matrix = A.tocsr()
+        return Q
+
+    monkeypatch.setattr(moments, "build_q", corrupted)
+    code, out = run_cli(capsys, "qcheck", "--d", "2", "--lambda", "0.3", "--radius", "4")
+    assert code == 2
+    ok = {r["check"]: r["ok"] for r in parse_csv(out)}
+    assert list(ok) == QCHECK_ROWS
+    assert ok["interior_row_sums_exact"] == "False"
 
 
 LAZY_TREE = "tree:n=2,depth=21"  # 4,194,303 vertices: parsed as a LazyTree

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from tocp import moments, walk
 from tocp.moments import (
@@ -167,6 +168,52 @@ def test_expm_columns_nonnegative():
             assert expm_apply(Q, probe, t).min() >= -1e-10
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("nan"), -1.0])
+def test_expm_rejects_bad_time(t):
+    with pytest.raises(ValueError):
+        expm_apply(build_q(1, 0.3, 2), np.ones(5), t)
+
+
+def test_integrate_second_moment_rejects_non_finite_time():
+    for t in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            integrate_second_moment(2, 0.3, 2, [0.5, t])
+
+
+def rel_dev(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_expm_mixed_sign_vector_matches_dense_expm():
+    Q = build_q(2, 0.3, 3)
+    v = np.random.default_rng(3).standard_normal(Q.size)
+    for t in (0.1, 1.0, 5.0):
+        want = scipy.linalg.expm(t * Q.matrix.toarray()) @ v
+        assert rel_dev(expm_apply(Q, v, t), want) < 1e-12
+
+
+def test_expm_non_metzler_matrix_matches_dense_expm():
+    # negative off-diagonal entries and a diagonal of both signs
+    rng = np.random.default_rng(4)
+    A = sp.random(60, 60, density=0.1, random_state=rng, data_rvs=lambda n: rng.uniform(-1, 1, n))
+    A = (A + sp.diags(rng.uniform(-2, 1, 60))).tocsr()
+    v = rng.standard_normal((60, 3))
+    for t in (0.1, 1.0, 3.0):
+        assert rel_dev(expm_apply(A, v, t), scipy.linalg.expm(t * A.toarray()) @ v) < 1e-12
+
+
+def test_expm_long_horizon_does_not_overflow():
+    # exp(mu t) alone overflows (mu = 4 lam d = 3.6), exp(tQ) 1 does not
+    Q = build_q(3, 0.3, 3)
+    t = 300.0
+    with pytest.raises(OverflowError):
+        math.exp(-Q.matrix.diagonal().min() * t)
+    v = np.ones(Q.size)
+    w = expm_apply(Q, v, t)
+    assert np.isfinite(w).all()
+    assert rel_dev(w, expm_apply(Q, expm_apply(Q, v, t / 2), t / 2)) < 1e-12
+
+
 def test_expm_block_matches_dense_expm():
     Q = build_q(2, 0.3, 3)
     A = Q.matrix.toarray()
@@ -219,6 +266,22 @@ def test_q_invariants_catch_negative_entry():
     checks, min_entry = q_invariants(mutated(Q, negate))
     assert not checks["expm_columns_nonnegative"]
     assert min_entry < -1e-10
+    # the solver must not clip: q_invariants sees the true minimum of exp(tQ)
+    A = mutated(Q, negate).matrix.toarray()
+    want = min(scipy.linalg.expm(t * A).min() for t in (0.1, 0.5, 1.0))
+    assert min_entry == pytest.approx(want, abs=1e-12)
+
+
+def test_q_invariants_catch_scaled_entry():
+    # role-valued row sums alone would still read exactly 0 here
+    Q = build_q(2, 0.3, 3)
+    x, y = box_index((1, 1), 3), box_index((1, 2), 3)
+
+    def scale(A):
+        A[x, y] *= 1.5
+
+    assert list(exact_row_sums(mutated(Q, scale))) == list(exact_row_sums(Q))
+    assert not q_invariants(mutated(Q, scale))[0]["interior_row_sums_exact"]
 
 
 def test_q_invariants_catch_norm_excess():
