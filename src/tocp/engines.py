@@ -32,6 +32,14 @@ equal arguments ``spin_replicas`` equals ``counts_replicas > 0`` replica
 by replica, and ``reals_replicas`` equals the counting values times
 ``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
 
+Set-valued engines follow the members of a set, each ringing at rate
+``1 + lam``.  The dual set needs each member's vertex, so it runs one
+replica at a time in Python over 8192-long lists of draws.  The oriented
+branching set needs members per depth only, so it runs in lock step over
+rows of per-depth counts: each pass draws, for every live row, a time
+step, the ringing member's depth (inverse CDF over the row's cumulative
+counts) and an infect/heal uniform, with blocks seeded as above.
+
 Agreement with the schedule-driven reference dynamics is established
 statistically in the test suite; couplings that need *shared* clocks
 always go through :class:`tocp.clocks.ClockSchedule` instead.
@@ -42,13 +50,8 @@ import numpy as np
 
 from .graphs import FiniteGraph, require_materialized
 
-__all__ = [
-    "spin_replicas",
-    "counts_replicas",
-    "reals_replicas",
-    "set_survival_replicas",
-    "branching_replicas",
-]
+__all__ = ["spin_replicas", "counts_replicas", "reals_replicas",
+           "set_survival_replicas", "branching_replicas"]
 
 # State cells per replica block, whatever the rule (so that every rule draws
 # the same random numbers).  Blocks far past the L2 cache measured slower per
@@ -58,10 +61,18 @@ _CHUNK_CELLS = 256 * 1024  # gather indices prepared ahead (2 MB of int64)
 # From this many active rows on, a pass gathers neighbourhoods for infect
 # rows only; below it one branch-free gather over all rows needs fewer calls.
 _SPLIT_ROWS = 1024
+# Count cells per branching block: a block's live rows and their cumulative
+# counts stay a few hundred kB whatever ``n_replicas`` is.
+_BRANCH_CELLS = 1 << 16
 
 
 def _block_size(n_replicas: int, n_vertices: int) -> int:
     return max(256, min(n_replicas, _BLOCK_CELLS // (n_vertices + 1)))
+
+
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
 def _check_obs(obs_times) -> np.ndarray:
@@ -112,9 +123,7 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
         np.empty(max(_CHUNK_CELLS, w * rows), dtype=np.int64), np.empty(w * rows, dtype=dtype),
     )
     for blk, lo in enumerate(range(0, n_replicas, bs)):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(blk,)))
-        )
+        rng = _block_rng(seed, blk)
         state = np.zeros((min(bs, n_replicas - lo), stride), dtype=dtype)
         state[:, :V] = 1 if initial is None else np.asarray(initial, dtype=dtype)
         flat = state.reshape(-1)
@@ -275,32 +284,10 @@ def reals_replicas(
 # set-valued processes (dual / branching survival)
 
 
-class _BufferedRng:
-    """Scalar exponential / uniform / choice draws served from batches."""
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 8192):
-        self.rng = rng
-        self.chunk = chunk
-        self._exp = rng.exponential(1.0, size=chunk)
-        self._uni = rng.random(chunk)
-        self._ie = 0
-        self._iu = 0
-
-    def exponential(self) -> float:
-        if self._ie == self.chunk:
-            self._exp = self.rng.exponential(1.0, size=self.chunk)
-            self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
-        return v
-
-    def uniform(self) -> float:
-        if self._iu == self.chunk:
-            self._uni = self.rng.random(self.chunk)
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return v
+def _check_set_args(lam: float, t_end: float, name: str, size: int) -> None:
+    if not (np.isfinite(lam) and lam >= 0 and np.isfinite(t_end) and t_end >= 0 and size >= 1):
+        raise ValueError(f"need finite lam >= 0 and t_end >= 0 and {name} >= 1, "
+                         f"got lam={lam}, t_end={t_end}, {name}={size}")
 
 
 def set_survival_replicas(
@@ -319,41 +306,48 @@ def set_survival_replicas(
     heal ring removes the member.  Replicas reaching ``cap`` members are
     declared survivors: dying back from that size within the remaining
     horizon has negligible probability at the horizons used here, and
-    the cap keeps supercritical runs from exploding.
+    the cap keeps supercritical runs from exploding.  ``neighbors_fn(x)``
+    returns vertex ids, fastest as Python ints.
     """
+    _check_set_args(lam, t_end, "cap", cap)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    buf = _BufferedRng(rng)
-    p_inf = lam / (1.0 + lam)
-    survived = 0
+    chunk = 8192  # even: uniforms are read in pairs, so a pair never straddles a refill
+    exps = rng.exponential(1.0, size=chunk).tolist()
+    unis = rng.random(chunk).tolist()
+    ie = iu = survived = 0
+    rate, p_inf = 1.0 + lam, lam / (1.0 + lam)
     for _ in range(n_replicas):
         members = [start_vertex]
-        pos = {start_vertex: 0}
+        present = {start_vertex}
         t = 0.0
-        while True:
+        while members:
             sz = len(members)
-            if sz == 0:
-                break
             if sz >= cap:
                 survived += 1
                 break
-            t += buf.exponential() / ((1.0 + lam) * sz)
+            if ie == chunk:
+                exps = rng.exponential(1.0, size=chunk).tolist()
+                ie = 0
+            t += exps[ie] / (rate * sz)
+            ie += 1
             if t > t_end:
                 survived += 1
                 break
-            i = int(buf.uniform() * sz)
+            if iu == chunk:
+                unis = rng.random(chunk).tolist()
+                iu = 0
+            i = int(unis[iu] * sz)
             x = members[i]
-            if buf.uniform() < p_inf:
+            if unis[iu + 1] < p_inf:
                 for y in neighbors_fn(x):
-                    y = int(y)
-                    if y not in pos:
-                        pos[y] = len(members)
+                    if y not in present:
+                        present.add(y)
                         members.append(y)
             else:
-                last = members.pop()
-                if last != x:
-                    members[i] = last
-                    pos[last] = i
-                del pos[x]
+                members[i] = members[-1]
+                members.pop()
+                present.remove(x)
+            iu += 2
     return survived
 
 
@@ -386,59 +380,65 @@ def branching_replicas(
     Returns a dict with ``survived``, ``replicas`` and interior event
     counts ``heal_events`` / ``infect_events`` (events at members of
     depth < ``depth``, whose infect fraction estimates the offspring
-    rate).
+    rate).  More than ``max_events`` events in all raise ``RuntimeError``.
     """
     if frontier not in ("escape", "absorb"):
         raise ValueError("frontier must be 'escape' or 'absorb'")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    buf = _BufferedRng(rng)
-    p_inf = lam / (1.0 + lam)
-    survived = 0
-    heal_events = 0
-    infect_events = 0
-    budget = max_events
-    for _ in range(n_replicas):
-        cnt = [0] * (depth + 1)
-        cnt[0] = 1
-        total = 1
-        t = 0.0
-        while True:
-            if total == 0:
-                break
-            t += buf.exponential() / ((1.0 + lam) * total)
-            if t > t_end:
-                survived += 1
-                break
-            budget -= 1
-            if budget < 0:
+    _check_set_args(lam, t_end, "depth", depth)
+    # time runs in units of 1 / (1 + lam): a row of m members waits Exp(1) / m
+    horizon, p_inf = (1.0 + lam) * t_end, lam / (1.0 + lam)
+    width = depth + 1
+    # a row holds at most 1 + (n - 1) * max_events members
+    dtype = np.int32 if (n - 1) * max_events < np.iinfo(np.int32).max else np.int64
+    bs = max(1, min(n_replicas, _BRANCH_CELLS // width))
+    escape = depth - 1 if frontier == "escape" else -1
+    survived = heal_events = infect_events = 0
+    for blk, lo in enumerate(range(0, n_replicas, bs)):
+        rng = _block_rng(seed, blk)
+        k = min(bs, n_replicas - lo)
+        # Work arrays, made once per block so that a pass allocates nothing: rows
+        # of per-depth counts, live rows first, with a spare last cell for zero adds.
+        cnt, cs = np.zeros((2, k, width + 1), dtype=dtype)
+        cnt[:, 0] = 1
+        t, draw = np.zeros((2, k))
+        u = np.empty(2 * k)
+        j = np.empty(k, dtype=np.intp)
+        born, minus_one = np.full((2, k), -1, dtype=dtype)
+        late, up, inner, gone = np.empty((4, k), dtype=bool)
+        above = np.empty((k, width), dtype=bool)
+        offsets = np.arange(0, k * (width + 1), width + 1)
+        while k:
+            c = np.cumsum(cnt[:k, :width], axis=1, dtype=dtype, out=cs[:k, :width])
+            tot = c[:, depth]
+            e = np.divide(rng.standard_exponential(out=draw[:k]), tot, out=draw[:k])
+            tk = np.add(t[:k], e, out=t[:k])
+            uk = rng.random(out=u[: 2 * k].reshape(2, k))
+            uk[0] *= tot
+            # the member that rings sits at the first depth whose cumulative count passes uk[0]
+            jk = np.argmax(np.greater(c, uk[0][:, None], out=above[:k]), axis=1, out=j[:k])
+            lk = np.greater(tk, horizon, out=late[:k])  # past the horizon: no event
+            ik = np.greater(np.less(jk, depth, out=inner[:k]), lk, out=inner[:k])
+            upk = np.logical_and(np.less(uk[1], p_inf, out=up[:k]), ik, out=up[:k])  # a birth
+            n_late, n_up = int(np.count_nonzero(lk)), int(np.count_nonzero(upk))
+            max_events -= k - n_late  # from here on, what is left of the budget
+            if max_events < 0:
                 raise RuntimeError("branching event budget exhausted")
-            m = buf.uniform() * total
-            j = 0
-            acc = cnt[0]
-            while acc <= m:
-                j += 1
-                acc += cnt[j]
-            if buf.uniform() < p_inf:
-                if j < depth:
-                    infect_events += 1
-                    cnt[j] -= 1
-                    if frontier == "escape" and j + 1 == depth:
-                        survived += 1
-                        break
-                    cnt[j + 1] += n
-                    total += n - 1
-                else:
-                    # truncation leaf: no sons exist, member drops out
-                    cnt[j] -= 1
-                    total -= 1
-            else:
-                if j < depth:
-                    heal_events += 1
-                cnt[j] -= 1
-                total -= 1
-    return {
-        "survived": survived,
-        "replicas": n_replicas,
-        "heal_events": heal_events,
-        "infect_events": infect_events,
-    }
+            infect_events += n_up
+            heal_events += int(np.count_nonzero(ik)) - n_up
+            gk = np.equal(jk, escape, out=gone[:k])
+            gk &= upk
+            gk |= lk  # survivors: escaped, or alive at the horizon
+            survived += int(np.count_nonzero(gk))
+            gk |= np.greater(np.equal(tot, 1, out=ik), upk, out=ik)  # and rows that died out
+            jk += offsets[:k]  # from here on, the cell of the member that rings
+            np.add.at(cnt.reshape(-1), jk, minus_one[:k])  # it heals, drops out or moves down
+            np.add.at(cnt.reshape(-1)[1:], jk, np.multiply(upk, n, out=born[:k]))
+            n_gone = int(np.count_nonzero(gk))
+            if n_gone:
+                keep = np.logical_not(gk, out=gk)
+                np.compress(keep, cnt[:k], axis=0, out=cs[: k - n_gone])
+                np.compress(keep, tk, out=draw[: k - n_gone])
+                cnt, cs, t, draw = cs, cnt, draw, t
+                k -= n_gone
+    return {"survived": survived, "replicas": n_replicas,
+            "heal_events": heal_events, "infect_events": infect_events}

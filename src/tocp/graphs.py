@@ -10,6 +10,7 @@ state is permanently zero.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -81,11 +82,18 @@ class FiniteGraph:
         return self.sons[x, : self.son_deg[x]]
 
     def neighbors_fn(self):
-        """Return a callable ``x -> list of neighbour ids`` (for set engines)."""
-        nbr, deg = self.nbr, self.deg
+        """Return a callable ``x -> tuple of neighbour ids`` (Python ints, for set engines).
+
+        Rows are converted on first use and cached in the callable, so its
+        memory follows the vertices a set engine touches, not ``n_vertices``.
+        """
+        nbr, deg, rows = self.nbr, self.deg, {}
 
         def fn(x: int):
-            return nbr[x, : deg[x]]
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = tuple(nbr[x, : deg[x]].tolist())
+            return row
 
         return fn
 
@@ -307,13 +315,7 @@ class LazyTree:
         self.params = {"n": n, "depth": depth, "root": root}
 
     def depth_of(self, v: int) -> int:
-        if v == 0:
-            return 0
-        # level_start is short (depth + 2 entries); linear scan is fine
-        lvl = 1
-        while self.level_start[lvl + 1] <= v:
-            lvl += 1
-        return lvl
+        return bisect_right(self.level_start, v) - 1
 
     def parent(self, v: int) -> int:
         if v == 0:
@@ -335,10 +337,24 @@ class LazyTree:
         return list(range(base, base + self.n))
 
     def neighbors_fn(self):
+        """Return a callable ``v -> neighbour ids``: the sons, then the parent.
+
+        Each call returns a fresh list (the root's shared tuple aside).
+        """
+        starts, n, depth = self.level_start, self.n, self.depth
+        root = tuple(range(1, 1 + self.root_sons))
+
         def fn(v: int):
-            out = self.sons_of(v)
-            if v != 0:
-                out.append(self.parent(v))
+            if v == 0:
+                return root
+            lvl = bisect_right(starts, v) - 1
+            j = v - starts[lvl]
+            parent = starts[lvl - 1] + j // n if lvl > 1 else 0
+            if lvl >= depth:
+                return [parent]
+            base = starts[lvl + 1] + j * n
+            out = list(range(base, base + n))
+            out.append(parent)
             return out
 
         return fn

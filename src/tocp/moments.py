@@ -215,6 +215,8 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float
     otherwise.  Within a substep terms are accumulated until two
     consecutive terms fall below ``rtol`` relative to the largest entry of
     the running result.  Target accuracy is well past the 1e-10 contract.
+    Entries far below the largest are therefore accurate only absolutely,
+    to about ``rtol`` times the largest entry, not relative to their size.
     """
     A = Q.matrix if isinstance(Q, TruncatedQ) else Q
     if not (math.isfinite(t) and t >= 0):

@@ -115,6 +115,20 @@ def test_critical_command(capsys):
     assert float(row["lo"]) < float(row["hi"])
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_critical_command_rejects_bad_tol(capsys, monkeypatch, tol):
+    def evaluated(*_a, **_k):
+        raise AssertionError("survival was evaluated")
+
+    monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    code = main(["critical", "--graph", "tree:n=3,depth=6", "--bracket", "0.05,0.9",
+                 "--tol", tol, "--t", "3", "--replicas", "200", "--threshold", "0.2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol must be finite and > 0")
+    assert captured.out == ""
+
+
 def test_green_command_columns(capsys):
     code, out = run_cli(capsys, "green", "--d", "5", "--terms", "400")
     assert code == 0

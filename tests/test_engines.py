@@ -5,6 +5,7 @@ import pytest
 
 from tocp import engines
 from tocp.clocks import build_schedule
+from tocp.experiments import branching_exact
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_spin, run
 
@@ -222,6 +223,98 @@ def test_branching_offspring_rate():
 def test_branching_rejects_unknown_frontier():
     with pytest.raises(ValueError):
         engines.branching_replicas(3, 0.5, 1.0, 4, 10, seed=1, frontier="bounce")
+
+
+def test_set_survival_hits_pinned():
+    # hit counts are fixed by the seed and the draw order, and criteria 4 and
+    # 8 read them: a rewrite of the loop must reproduce them exactly
+    g = build_tree(3, 4)
+    nf = g.neighbors_fn()
+    hits = [engines.set_survival_replicas(nf, 0, 0.5, 3.0, 5_000, seed=s) for s in (1, 2, 3)]
+    assert hits == [1262, 1303, 1249]
+    # a neighbour function returning numpy rows reads the same draws
+    rows = lambda x: g.nbr[x, : g.deg[x]]  # noqa: E731
+    assert engines.set_survival_replicas(rows, 0, 0.5, 3.0, 5_000, seed=1) == 1262
+    lz = LazyTree(4, 12, "full_degree")
+    hits = [engines.set_survival_replicas(lz.neighbors_fn(), 0, 0.45, 20.0, 300, seed=s, cap=1000)
+            for s in (1, 2)]
+    assert hits == [70, 62]
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf},
+    {"lam": -0.1}, {"lam": math.nan}, {"cap": 0},
+])
+def test_set_survival_rejects_bad_inputs(bad):
+    args = {"lam": 0.5, "t_end": 1.0, "cap": 2000, **bad}
+    with pytest.raises(ValueError):
+        engines.set_survival_replicas(build_torus(1, 8).neighbors_fn(), 0, args["lam"],
+                                      args["t_end"], 50, seed=1, cap=args["cap"])
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf}, {"lam": -0.1}, {"depth": 0},
+])
+def test_branching_rejects_bad_inputs(bad):
+    args = {"lam": 0.3, "t_end": 1.0, "depth": 4, **bad}
+    with pytest.raises(ValueError):
+        engines.branching_replicas(3, args["lam"], args["t_end"], args["depth"], 50, seed=1)
+
+
+@pytest.mark.parametrize("frontier", ["escape", "absorb"])
+def test_branching_same_seed_same_result(frontier):
+    a = engines.branching_replicas(3, 0.6, 5.0, 6, 2_000, seed=23, frontier=frontier)
+    b = engines.branching_replicas(3, 0.6, 5.0, 6, 2_000, seed=23, frontier=frontier)
+    assert a == b
+    assert a["replicas"] == 2_000 and 0 < a["survived"] < 2_000
+
+
+def test_branching_event_budget_is_exact():
+    # in escape mode every applied event is an interior one, so the budget
+    # that the run just fits is the sum of the two event counts; at t = 2
+    # most rows are still alive at the horizon, whose ring applies no event
+    args = (5, 0.5, 2.0, 12, 2_000)
+    out = engines.branching_replicas(*args, seed=24)
+    used = out["heal_events"] + out["infect_events"]
+    assert engines.branching_replicas(*args, seed=24, max_events=used) == out
+    with pytest.raises(RuntimeError, match="budget"):
+        engines.branching_replicas(*args, seed=24, max_events=used - 1)
+    with pytest.raises(RuntimeError, match="budget"):
+        engines.branching_replicas(*args, seed=24, max_events=100)
+
+
+def test_branching_result_across_a_block_boundary():
+    rows = engines._BRANCH_CELLS // 13  # one block at depth 12
+    one = engines.branching_replicas(5, 0.5, 20.0, 12, rows, seed=25)
+    more = engines.branching_replicas(5, 0.5, 20.0, 12, rows + 1, seed=25)
+    # the first block is unchanged; the second adds one replica's events
+    assert more["survived"] - one["survived"] in (0, 1)
+    assert more["heal_events"] >= one["heal_events"]
+    assert more["infect_events"] >= one["infect_events"]
+    assert engines.branching_replicas(5, 0.5, 20.0, 12, rows + 1, seed=25) == more
+
+
+@pytest.mark.parametrize("n,lam,t,depth,frontier,seed", [
+    (5, 0.5, 20.0, 12, "escape", 41), (5, 0.5, 20.0, 12, "absorb", 42),
+    (5, 0.3, 20.0, 12, "escape", 43), (5, 0.3, 20.0, 12, "absorb", 44),
+    # shallow trees, where one level more or less moves survival by many SE
+    (3, 0.6, 5.0, 3, "escape", 45), (3, 0.6, 5.0, 3, "absorb", 46),
+])
+def test_branching_matches_backward_equation(n, lam, t, depth, frontier, seed):
+    n_rep = 10_000
+    out = engines.branching_replicas(n, lam, t, depth, n_rep, seed=seed, frontier=frontier)
+    want = branching_exact(n, lam, t, depth, frontier)
+    se = math.sqrt(want * (1 - want) / n_rep)
+    assert abs(out["survived"] / n_rep - want) < 4 * se
+
+
+def test_branching_blocks_agree_with_backward_equation(monkeypatch):
+    # many small blocks: each draws from its own seed, the law is unchanged
+    monkeypatch.setattr(engines, "_BRANCH_CELLS", 7 * 50)
+    n_rep = 8_000
+    out = engines.branching_replicas(3, 0.8, 4.0, 6, n_rep, seed=26, frontier="absorb")
+    want = branching_exact(3, 0.8, 4.0, 6, "absorb")
+    assert abs(out["survived"] / n_rep - want) < 4 * math.sqrt(want * (1 - want) / n_rep)
 
 
 def test_chebyshev_domination():

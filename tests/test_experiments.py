@@ -7,6 +7,7 @@ from tocp import engines
 from tocp.experiments import (
     Estimate,
     bounds_report,
+    branching_exact,
     branching_survival,
     critical_estimate,
     duality_check,
@@ -111,6 +112,31 @@ def test_branching_absorb_mode_is_lower():
     assert ab.estimate.value <= esc.estimate.value
 
 
+def test_branching_exact_reference_values():
+    want = {(0.5, "escape"): 0.25876, (0.5, "absorb"): 0.01649,
+            (0.3, "escape"): 0.08102, (0.3, "absorb"): 0.00294}
+    for (lam, frontier), p in want.items():
+        assert branching_exact(5, lam, 20.0, 12, frontier) == pytest.approx(p, abs=6e-6)
+
+
+def test_branching_exact_closed_forms():
+    for lam, t in ((0.0, 1.3), (0.7, 0.4), (0.7, 3.0)):
+        # one level: the root escapes at its first infect ring before t
+        u0 = (1.0 - math.exp(-(1.0 + lam) * t)) / (1.0 + lam)
+        assert branching_exact(3, lam, t, 1) == pytest.approx(1.0 - u0, rel=1e-9)
+    # no births: the root survives until its first heal ring
+    for frontier in ("escape", "absorb"):
+        assert branching_exact(4, 0.0, 2.0, 5, frontier) == pytest.approx(math.exp(-2.0), rel=1e-9)
+        assert branching_exact(4, 0.5, 0.0, 5, frontier) == 1.0
+
+
+def test_branching_exact_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        branching_exact(3, 0.5, 1.0, 4, "bounce")
+    with pytest.raises(ValueError):
+        branching_exact(3, 0.5, 1.0, 0)
+
+
 def test_lambda_scan_monotone_within_noise():
     g = build_torus(1, 12)
     rows = lambda_scan(g, [0.3, 0.8, 1.5, 2.5], 4.0, 3_000, seed=10)
@@ -159,6 +185,29 @@ def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
         with pytest.raises(ValueError, match="unknown estimator"):
             critical_estimate(graph, (0.1, 0.6), 4.0, 300, threshold=0.05, tol=0.1, seed=13,
                               estimator="foward")
+
+
+def test_critical_estimate_dual_bracket_pinned():
+    # the dual evaluations are fixed by the seed and the dual engine's draw order
+    lz = LazyTree(4, 12, "full_degree")
+    res = critical_estimate(lz, (0.12, 0.45), 20.0, 300, threshold=0.02, tol=0.03, seed=7,
+                            estimator="dual")
+    assert [round(s * 300) for _, s in res.evaluations] == [0, 67, 9, 1, 4, 3]
+    lams = [lam for lam, _ in res.evaluations]
+    assert lams == pytest.approx([0.12, 0.45, 0.285, 0.2025, 0.24375, 0.264375], abs=1e-12)
+    assert (res.lo, res.hi) == pytest.approx((0.264375, 0.285), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_critical_estimate_rejects_bad_tol(monkeypatch, tol):
+    def evaluated(*_a, **_k):
+        raise AssertionError("survival was evaluated")
+
+    monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
+    for graph in (build_tree(3, 6), LazyTree(4, 8)):
+        with pytest.raises(ValueError, match="tol"):
+            critical_estimate(graph, (0.05, 0.9), 3.0, 200, threshold=0.2, tol=tol, seed=1)
 
 
 def test_critical_estimate_forward_refuses_lazy_tree():

@@ -144,3 +144,43 @@ def test_lazy_tree_full_root():
     nf = lz.neighbors_fn()
     for v in (0, 1, 7, 105):
         assert sorted(nf(v)) == sorted(g.adjacency(v).tolist())
+
+
+@pytest.mark.parametrize("root", ["son_only", "full_degree"])
+def test_lazy_tree_neighbours_on_every_vertex(root):
+    g = build_tree(3, 5, root)
+    lz = LazyTree(3, 5, root)
+    nf = lz.neighbors_fn()
+    depth = [0] * g.n_vertices
+    for v in range(1, g.n_vertices):
+        parent = min(g.adjacency(v).tolist())  # level order: the parent has the smaller id
+        depth[v] = depth[parent] + 1
+        assert lz.parent(v) == parent
+    for v in range(g.n_vertices):
+        got = nf(v)
+        assert all(type(y) is int for y in got)
+        assert len(got) == g.deg[v] and set(got) == set(g.adjacency(v).tolist())
+        sons = g.sons_of(v).tolist()
+        assert list(got[: len(sons)]) == sons == lz.sons_of(v)  # sons first, in order
+        if v:
+            assert got[-1] == lz.parent(v)  # then the parent
+        assert lz.depth_of(v) == depth[v]
+
+
+def test_lazy_tree_neighbour_rows_are_not_shared():
+    nf = LazyTree(2, 4).neighbors_fn()
+    for v in (0, 1, 5, 30):
+        first = nf(v)
+        if isinstance(first, list):
+            first.append(-1)
+        assert -1 not in nf(v)
+
+
+@pytest.mark.parametrize("graph", [build_torus(2, 4), build_tree(2, 3)], ids=["torus", "tree"])
+def test_neighbors_fn_returns_python_ints(graph):
+    nf = graph.neighbors_fn()
+    for x in range(graph.n_vertices):
+        row = nf(x)
+        assert all(type(y) is int for y in row)
+        assert list(row) == graph.adjacency(x).tolist()
+        assert nf(x) == row
