@@ -8,21 +8,22 @@ vertices, events arrive as a single Poisson stream of rate
 ``V * (1 + lam)`` whose marks are an independent uniform vertex and an
 infect/heal flag with infect probability ``lam / (1 + lam)``.
 
-One private lock-step kernel advances the replicas of all three
+One private lock-step kernel advances the replicas of all four
 lock-step engines, one event per replica per pass, with the per-event
 work done by numpy over the replica axis.  The engines differ only in
 how an infect event folds the closed neighbourhood of its vertex (the
 vertex itself and its neighbours): the maximum for the spin process
-(eta), the sum for the counting process (xi) and the float64 sum for
-the real process (zeta).  The zeta drift multiplies every coordinate by
-the same factor ``exp((1 - 2*lam*d) * dt)`` on a 2d-regular graph, so it
-commutes with the sum and with healing: zeta at time t is
-``exp((1 - 2*lam*d) * t)`` times the drift-free sum.  The state at an
-observation time therefore depends only on the event *sequence*, so
-event counts per observation interval are drawn Poisson and no event
-times are generated at all.  Replicas whose configuration is all-zero
-(absorbing for every rule) are retired, and a block stops as soon as
-none is left.
+(eta), the sum for the counting process (xi), the float64 sum for the
+real process (zeta) and a min-max fold for threshold levels (below).
+The zeta drift multiplies every coordinate by the same factor
+``exp((1 - 2*lam*d) * dt)`` on a 2d-regular graph, so it commutes with
+the sum and with healing: zeta at time t is ``exp((1 - 2*lam*d) * t)``
+times the drift-free sum.  The state at an observation time therefore
+depends only on the event *sequence*, so event counts per observation
+interval are drawn Poisson and no event times are generated at all.
+Replicas whose configuration is absorbed (all zero; all ``+inf`` for
+threshold levels) are retired, and a block stops as soon as none is
+left.
 
 Determinism: given the same ``(graph, lam, obs, n_replicas, seed)`` the
 output is reproducible; replica blocks derive their generators from
@@ -31,6 +32,22 @@ not depend on the rule, so the engines share their random numbers: with
 equal arguments ``spin_replicas`` equals ``counts_replicas > 0`` replica
 by replica, and ``reals_replicas`` equals the counting values times
 ``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
+
+The threshold fold runs every rate up to ``lam_max`` at once.  The spin
+process is attractive and thinning is a monotone coupling (Liggett,
+*Interacting Particle Systems*, 1985, ch. III): keep an infect event at
+rate ``lam`` iff its mark ``q`` is below ``lam / (1 + lam_max)``.  The
+mark is the fractional part that already decides infect or heal, uniform
+on ``[0, 1)`` given the vertex, so each vertex keeps infect events at
+rate ``(1 + lam_max) * lam / (1 + lam_max) = lam`` and heals at rate 1.
+Each cell then holds ``m(v)``, the smallest mark level at which ``v``
+is infected: ``-inf`` at the start, ``+inf`` after a heal, and
+``min(m(v), max(q, min over the neighbours of m))`` after an infect
+event.  ``v`` is infected at rate ``lam`` iff
+``m(v) < lam / (1 + lam_max)``.  The fold draws what the other rules
+draw, so at ``lam_max`` it reproduces ``spin_replicas`` bit for bit,
+and the indicators of one replica are nondecreasing in ``lam``: a rate
+scan or a bisection reads one run with common random numbers.
 
 Set-valued engines follow the members of a set, each ringing at rate
 ``1 + lam``.  The dual set needs each member's vertex, so it runs one
@@ -50,7 +67,7 @@ import numpy as np
 
 from .graphs import FiniteGraph, require_materialized
 
-__all__ = ["spin_replicas", "counts_replicas", "reals_replicas",
+__all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
            "set_survival_replicas", "branching_replicas"]
 
 # State cells per replica block, whatever the rule (so that every rule draws
@@ -100,10 +117,17 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
 
     ``fold`` (``np.maximum`` or ``np.add``) combines the closed
     neighbourhood at an infect event; a heal event sets the vertex to 0.
-    Integer sums are guarded: every stored value stays at or below
-    ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices, so no
-    sum can wrap, and a larger result raises ``RuntimeError``.
+    ``fold=np.minimum`` selects the threshold fold instead: cells hold
+    mark levels, a heal sets ``+inf`` and an infect event with mark ``q``
+    sets ``min(m(v), max(q, min over the neighbours))`` (see
+    :func:`threshold_replicas`).  The blank value (0, or ``+inf`` for the
+    threshold fold) fills the phantom cell, retired rows and unobserved
+    output.  Integer sums are guarded: every stored value stays at or
+    below ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices,
+    so no sum can wrap, and a larger result raises ``RuntimeError``.
     """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"need finite lam >= 0, got lam={lam}")
     require_materialized(graph)
     cn = _closed_neighbourhoods(graph)
     w, V = cn.shape
@@ -112,7 +136,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     headroom = None
     if fold is np.add and np.issubdtype(dtype, np.integer):
         headroom = np.iinfo(dtype).max // w
-    out = np.zeros((len(obs), n_replicas), dtype=dtype)
+    blank, full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
+    out = np.full((len(obs), n_replicas), blank, dtype=dtype)
     bs = _block_size(n_replicas, V)
     # Chunk work arrays, made once: large temporaries freed and made again on
     # every chunk or pass let the allocator return memory and fault it back in.
@@ -121,13 +146,14 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     work_arrays = (
         np.empty(n_draw), np.empty(n_draw, dtype=np.int64), np.empty(n_draw, dtype=bool),
         np.empty(max(_CHUNK_CELLS, w * rows), dtype=np.int64), np.empty(w * rows, dtype=dtype),
+        np.empty(n_draw, dtype=np.int64),
     )
     for blk, lo in enumerate(range(0, n_replicas, bs)):
         rng = _block_rng(seed, blk)
-        state = np.zeros((min(bs, n_replicas - lo), stride), dtype=dtype)
-        state[:, :V] = 1 if initial is None else np.asarray(initial, dtype=dtype)
+        state = np.full((min(bs, n_replicas - lo), stride), blank, dtype=dtype)
+        state[:, :V] = full if initial is None else np.asarray(initial, dtype=dtype)
         flat = state.reshape(-1)
-        off = np.flatnonzero(state.any(axis=1)) * stride  # live rows, as offsets
+        off = np.flatnonzero(_live(state, blank)) * stride  # live rows, as offsets
         prev_t, work = 0.0, 0
         for j, t_obs in enumerate(obs):
             if len(off) == 0:
@@ -141,40 +167,48 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
                 while len(off) and (k := int(np.searchsorted(neg, -s))):
                     # passes until the prefix shrinks, within the index buffer
                     c = int(min(max(1, _CHUNK_CELLS // (w * k)), -neg[k - 1] - s))
-                    _passes(flat, cn, off[:k], c, rng, p_inf, fold, headroom, work_arrays)
+                    _passes(flat, cn, off[:k], c, rng, p_inf, fold, blank, headroom,
+                            work_arrays)
                     s += c
                     work += c * k
-                    # retire all-zero rows: a scan of the block once per as many
+                    # retire blank rows: a scan of the block once per as many
                     # row events costs about one sequential cell read per event
                     if work >= state.size:
                         work = 0
-                        alive = state.any(axis=1)[off // stride]
+                        alive = _live(state, blank)[off // stride]
                         off, neg = off[alive], neg[alive]
             prev_t = t_obs
             out[j, lo + off // stride] = flat[off + observe_vertex]
     return out
 
 
-def _passes(flat, cn, off, c, rng, p_inf, fold, headroom, work_arrays):
+def _live(state, blank):
+    """Rows holding a non-blank cell: the configuration is not absorbed."""
+    return state.min(axis=1) < blank if blank else state.any(axis=1)
+
+
+def _passes(flat, cn, off, c, rng, p_inf, fold, blank, headroom, work_arrays):
     """Run ``c`` passes; each applies one event to every row ``i``, at ``flat[off[i]:]``.
 
     A uniform ``r`` marks an event: vertex ``floor(r * V)``, infect when
-    the fractional part is below ``p_inf``.
+    the fractional part ``q`` is below ``p_inf``.  The threshold fold
+    also reads ``q`` as the event's thinning mark.
     """
     w, V = cn.shape
     k = len(off)
-    r_buf, u_buf, hit_buf, idx_buf, val_buf = work_arrays
+    r_buf, u_buf, hit_buf, idx_buf, val_buf, col_buf = work_arrays
     r = rng.random(out=r_buf[: c * k].reshape(c, k))
     r *= V
     u = u_buf[: c * k].reshape(c, k)
     np.copyto(u, r, casting="unsafe")
     r -= u
     infect = np.less(r, p_inf, out=hit_buf[: c * k].reshape(c, k))
+    threshold = fold is np.minimum
     if k < _SPLIT_ROWS:
-        # fold every row's neighbourhood, then zero the heal rows
+        # fold every row's neighbourhood, then blank the heal rows
         gather = idx_buf[: c * w * k].reshape(c, w, k)
         np.add(u, off, out=gather[:, 0])
-        column = r_buf.view(np.int64)[: c * k].reshape(c, k)  # r is spent
+        column = col_buf[: c * k].reshape(c, k)
         for i in range(1, w):
             cn[i].take(u, out=column, mode="clip")  # a strided out would be buffered
             np.add(column, off, out=gather[:, i])
@@ -183,9 +217,13 @@ def _passes(flat, cn, off, c, rng, p_inf, fold, headroom, work_arrays):
         for p in range(c):
             g = gather[p]
             flat.take(g, out=vals, mode="clip")
-            fold.reduce(vals, axis=0, out=new)
-            new *= infect[p]
-            _guard(new, headroom)
+            if threshold:
+                _threshold_fold(vals, r[p], new)
+                np.copyto(new, blank, where=~infect[p])
+            else:
+                fold.reduce(vals, axis=0, out=new)
+                new *= infect[p]
+                _guard(new, headroom)
             flat[g[0]] = new
     else:
         u += off  # from here on, each event's position in flat
@@ -196,10 +234,21 @@ def _passes(flat, cn, off, c, rng, p_inf, fold, headroom, work_arrays):
             cn.take(u[p].take(ii) - base, axis=1, out=g, mode="clip")
             g += base
             vals = flat.take(g, out=val_buf[: g.size].reshape(g.shape), mode="clip")
-            new = fold.reduce(vals, axis=0)
-            _guard(new, headroom)
-            flat[u[p]] = 0
+            if threshold:
+                new = _threshold_fold(vals, r[p].take(ii), np.empty(len(ii)))
+            else:
+                new = fold.reduce(vals, axis=0)
+                _guard(new, headroom)
+            flat[u[p]] = blank
             flat[g[0]] = new
+
+
+def _threshold_fold(vals, q, out):
+    """``min(m(v), max(q, min over the neighbours))`` per column of a
+    gathered closed neighbourhood ``vals`` (the vertex first)."""
+    np.minimum.reduce(vals[1:], axis=0, out=out)
+    np.maximum(out, q, out=out)
+    return np.minimum(out, vals[0], out=out)
 
 
 def _guard(new, headroom):
@@ -278,6 +327,28 @@ def reals_replicas(
     out = _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, np.add, np.float64)
     out *= np.exp((1.0 - 2.0 * lam * d_param) * obs)[:, None]
     return out
+
+
+def threshold_replicas(
+    graph: FiniteGraph,
+    lam_max: float,
+    obs_times,
+    observe_vertex: int,
+    n_replicas: int,
+    seed: int,
+) -> np.ndarray:
+    """Mark level ``m`` at ``observe_vertex`` for many replicas, from all ones.
+
+    The spin process at every rate ``lam <= lam_max`` in one run: the
+    vertex is infected at rate ``lam`` iff ``m < lam / (1 + lam_max)``.
+    ``m`` is ``-inf`` for a vertex infected at every rate and ``+inf``
+    for one healthy at every rate, which retired replicas read.  At
+    ``lam_max`` the indicators equal ``spin_replicas`` with the same
+    arguments, replica by replica.  Returns float64 of shape
+    ``(len(obs_times), n_replicas)``.
+    """
+    return _lockstep(graph, lam_max, _check_obs(obs_times), observe_vertex, n_replicas,
+                     seed, np.minimum, np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engines, walk
-from .clocks import INFECT, ClockSchedule, build_schedule
+from .clocks import INFECT, build_schedule
 from .graphs import FiniteGraph, LazyTree
-from .processes import all_ones_spin, run
+from .processes import run
 
 __all__ = [
     "Estimate",
@@ -59,14 +59,30 @@ class Estimate:
         return Estimate(p, se, n, seed)
 
 
+def _check_replicas(replicas: int) -> None:
+    if replicas < 100:
+        raise ValueError("need at least 100 replicas")
+
+
 def survival_probability(
     graph: FiniteGraph, lam: float, t: float, x: int, replicas: int, seed: int
 ) -> Estimate:
     """Fraction of all-ones-started replicas with an infected ``x`` at time t."""
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
+    _check_replicas(replicas)
     vals = engines.spin_replicas(graph, lam, [t], x, replicas, seed)[0]
     return Estimate.from_indicator(int(vals.sum()), replicas, seed)
+
+
+def _survival_curve(graph: FiniteGraph, lam_max: float, t: float, replicas: int, seed: int):
+    """Survivor count at the origin at time t, as a function of ``lam <= lam_max``.
+
+    One threshold run at ``lam_max`` (:func:`engines.threshold_replicas`)
+    answers every rate, on the same replicas, so the count is
+    nondecreasing in ``lam``.
+    """
+    _check_replicas(replicas)
+    levels = engines.threshold_replicas(graph, lam_max, [t], 0, replicas, seed)[0]
+    return lambda lam: int(np.count_nonzero(levels < lam / (1.0 + lam_max)))
 
 
 @dataclass
@@ -172,14 +188,20 @@ def branching_exact(n: int, lam: float, t: float, depth: int, frontier: str = "e
 def lambda_scan(
     graph: FiniteGraph, lambda_grid, t: float, replicas: int, seed: int
 ) -> list[tuple[float, Estimate]]:
-    """Survival estimates over an ascending rate grid (independent replicas)."""
+    """Survival estimates over an ascending rate grid.
+
+    Every rate reads the same replicas (one threshold run at the grid
+    maximum), so the estimates are nondecreasing in the rate and their
+    differences carry less noise than independent runs would.
+    """
     grid = list(lambda_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be ascending")
-    out = []
-    for i, lam in enumerate(grid):
-        out.append((lam, survival_probability(graph, lam, t, 0, replicas, _subseed(seed, 10, i))))
-    return out
+    if not grid:
+        return []
+    s = _subseed(seed, 10, len(grid) - 1)  # the top rate keeps its per-rate seed
+    survivors = _survival_curve(graph, grid[-1], t, replicas, s)
+    return [(lam, Estimate.from_indicator(survivors(lam), replicas, s)) for lam in grid]
 
 
 def thinned_survival_indicators(
@@ -191,12 +213,14 @@ def thinned_survival_indicators(
     infect event carries a uniform mark and the run at rate ``lam``
     accepts it when the mark is below ``lam / lam_max``.  Accepted event
     sets are nested, so the returned (n_rates, replicas) indicator array
-    is nondecreasing along the rate axis, trajectory by trajectory.
+    is nondecreasing along the rate axis, trajectory by trajectory.  One
+    threshold replay per replica answers every rate of the grid.
     """
     grid = list(lambda_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be ascending")
     lam_max = grid[-1]
+    cuts = np.array([lam / lam_max if lam_max > 0 else 0.0 for lam in grid])
     out = np.zeros((len(grid), replicas), dtype=np.uint8)
     for rep in range(replicas):
         rep_seed = _subseed(seed, 20, rep)
@@ -205,14 +229,12 @@ def thinned_survival_indicators(
             np.random.PCG64(np.random.SeedSequence(entropy=rep_seed, spawn_key=(1 << 20,)))
         )
         infect = sched.kinds == INFECT
-        # heal events carry mark -1 and are kept at every rate
+        # heal events carry mark -1; the threshold rule never reads it
         marks = np.full(sched.n_events, -1.0)
         marks[infect] = marks_rng.random(int(infect.sum()))
-        for gi, lam in enumerate(grid):
-            keep = marks < (lam / lam_max if lam_max > 0 else 0.0)
-            thinned = ClockSchedule(sched.graph_n, lam, t, rep_seed, sched.times[keep],
-                                    sched.vertices[keep], sched.kinds[keep])
-            out[gi, rep] = run("eta", thinned, graph, all_ones_spin(graph).tolist(), [t])[0][x]
+        level = run("threshold", sched, graph, [-math.inf] * graph.n_vertices, [t],
+                    marks=marks)[0][x]
+        out[:, rep] = level < cuts
     return out
 
 
@@ -239,11 +261,14 @@ def critical_estimate(
     """Bisect the rate at which fixed-time survival crosses ``threshold``.
 
     ``estimator="forward"`` uses the all-ones spin process observed at
-    the origin/root.  ``"dual"`` uses nonemptiness of the dual set grown
-    from the root, which costs only the active set and is the only
-    feasible route on huge lazily-addressed trees; the two observables
-    have equal distributions by the duality identity (verified
-    independently in the test suite).  ``"auto"`` picks forward for
+    the origin/root: one threshold run at ``hi`` gives survival at every
+    rate of the bracket on shared replicas, so each bisection step reads
+    the same nondecreasing curve.  ``"dual"`` uses nonemptiness of the
+    dual set grown from the root, which costs only the active set and is
+    the only feasible route on huge lazily-addressed trees; it draws
+    fresh replicas at each rate.  The two observables have equal
+    distributions by the duality identity (verified independently in
+    the test suite).  ``"auto"`` picks forward for
     materialized graphs and dual for :class:`LazyTree`.
     """
     lo, hi = bracket
@@ -255,15 +280,19 @@ def critical_estimate(
         raise ValueError(f"unknown estimator {estimator!r}: use auto, forward or dual")
     if estimator == "auto":
         estimator = "dual" if isinstance(graph, LazyTree) else "forward"
-    if estimator == "dual":
+    if estimator == "forward":
+        # the seed of the evaluation at hi, which the run reproduces exactly
+        survivors = _survival_curve(graph, hi, t, replicas, _subseed(seed, 30, 1))
+
+        def survival(lam: float, _k: int) -> float:
+            return survivors(lam) / replicas
+    else:
         nf = graph.neighbors_fn()
 
-    def survival(lam: float, k: int) -> float:
-        s = _subseed(seed, 30, k)
-        if estimator == "forward":
-            return survival_probability(graph, lam, t, 0, replicas, s).value
-        hits = engines.set_survival_replicas(nf, 0, lam, t, replicas, s, cap=1000)
-        return hits / replicas
+        def survival(lam: float, k: int) -> float:
+            hits = engines.set_survival_replicas(nf, 0, lam, t, replicas, _subseed(seed, 30, k),
+                                                 cap=1000)
+            return hits / replicas
 
     evals = []
     s_lo = survival(lo, 0)

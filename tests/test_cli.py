@@ -121,6 +121,7 @@ def test_critical_command_rejects_bad_tol(capsys, monkeypatch, tol):
         raise AssertionError("survival was evaluated")
 
     monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    monkeypatch.setattr(engines, "threshold_replicas", evaluated)
     code = main(["critical", "--graph", "tree:n=3,depth=6", "--bracket", "0.05,0.9",
                  "--tol", tol, "--t", "3", "--replicas", "200", "--threshold", "0.2"])
     assert code == 1
@@ -272,6 +273,17 @@ def test_dimension_below_one_exit_code(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lam", ["-0.5", "nan", "inf"])
+@pytest.mark.parametrize("extra", [[], ["--per-replica"]], ids=["estimate", "per-replica"])
+def test_simulate_rejects_bad_rate(capsys, lam, extra):
+    code = main(["simulate", "--graph", "torus:d=1,L=8", "--lambda", lam, "--t", "1.0",
+                 "--replicas", "100", *extra])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need finite lam >= 0")
     assert captured.out == ""
 
 

@@ -328,3 +328,70 @@ def test_chebyshev_domination():
             math.sqrt(p * (1 - p) / n), xi.std(ddof=1) / math.sqrt(n)
         )
         assert p <= xi.mean() + 4 * se
+
+
+# ---------------------------------------------------------------------------
+# threshold fold
+
+
+@pytest.mark.parametrize("graph,lam,n", [
+    (build_torus(2, 6), 0.6, 600),     # fewer rows than the split: one gather over all rows
+    (build_tree(3, 4), 0.5, 3_000),    # from 1024 live rows on: infect rows only
+    (build_torus(1, 12), 1.5, 2_500),
+], ids=["torus-small-rows", "tree-split-rows", "ring-split-rows"])
+def test_threshold_at_top_rate_is_spin(graph, lam, n):
+    obs = [0.0, 0.5, 1.0, 1.0, 3.0, 6.0]
+    spin = engines.spin_replicas(graph, lam, obs, 0, n, seed=41)
+    levels = engines.threshold_replicas(graph, lam, obs, 0, n, seed=41)
+    assert levels.dtype == np.float64 and levels.shape == spin.shape
+    assert np.array_equal((levels < lam / (1.0 + lam)).astype(np.uint8), spin)
+    assert spin[-1].any() and not spin[-1].all()
+    # a level is -inf (infected at every rate), +inf, or an infect mark below p_inf
+    finite = levels[np.isfinite(levels)]
+    assert ((finite >= 0) & (finite < lam / (1.0 + lam))).all()
+
+
+def test_threshold_indicators_nondecreasing_in_rate():
+    g, lam_max, n = build_torus(2, 5), 0.9, 2_000
+    levels = engines.threshold_replicas(g, lam_max, [1.0, 4.0], 0, n, seed=42)
+    grid = np.linspace(0.0, lam_max, 10)
+    ind = (levels[None] < (grid / (1.0 + lam_max))[:, None, None]).astype(np.int8)
+    assert (np.diff(ind, axis=0) >= 0).all()
+    counts = ind[:, -1].sum(axis=1)
+    assert counts[0] < counts[-1]  # the rate matters at t = 4
+
+
+@pytest.mark.parametrize("graph,lam_max,lam", [
+    (build_torus(1, 10), 2.0, 0.8),
+    (build_tree(3, 4), 0.8, 0.4),
+])
+def test_threshold_interior_rate_matches_spin(graph, lam_max, lam):
+    n, t = 20_000, 2.0
+    levels = engines.threshold_replicas(graph, lam_max, [t], 0, n, seed=43)[0]
+    p_thr = (levels < lam / (1.0 + lam_max)).mean()
+    p_spin = engines.spin_replicas(graph, lam, [t], 0, n, seed=44)[0].mean()
+    assert 0.05 < p_spin < 0.95
+    assert two_sample_z(p_thr, n, p_spin, n) < 4
+
+
+def test_threshold_retired_rows_read_inf():
+    g = build_torus(1, 4)
+    # no infections at rate 0: every row heals out long before t = 40 and is retired
+    levels = engines.threshold_replicas(g, 0.0, [0.0, 0.5, 40.0], 0, 500, seed=45)
+    assert (levels[0] == -np.inf).all()
+    assert np.isin(levels[1], [-np.inf, np.inf]).all() and (levels[1] == np.inf).any()
+    assert (levels[2] == np.inf).all()
+
+
+@pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("engine", ["spin", "counts", "reals", "threshold"])
+def test_lockstep_engines_reject_bad_rate(engine, lam):
+    g = build_torus(1, 8)
+    calls = {
+        "spin": lambda: engines.spin_replicas(g, lam, [1.0], 0, 50, seed=1),
+        "counts": lambda: engines.counts_replicas(g, lam, [1.0], 0, 50, seed=1),
+        "reals": lambda: engines.reals_replicas(g, lam, 1, [1.0], 0, 50, seed=1),
+        "threshold": lambda: engines.threshold_replicas(g, lam, [1.0], 0, 50, seed=1),
+    }
+    with pytest.raises(ValueError, match="lam"):
+        calls[engine]()

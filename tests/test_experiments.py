@@ -180,6 +180,7 @@ def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
         raise AssertionError("survival was evaluated")
 
     monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    monkeypatch.setattr(engines, "threshold_replicas", evaluated)
     monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
     for graph in (build_torus(1, 8), LazyTree(4, 8)):
         with pytest.raises(ValueError, match="unknown estimator"):
@@ -204,6 +205,7 @@ def test_critical_estimate_rejects_bad_tol(monkeypatch, tol):
         raise AssertionError("survival was evaluated")
 
     monkeypatch.setattr(engines, "spin_replicas", evaluated)
+    monkeypatch.setattr(engines, "threshold_replicas", evaluated)
     monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
     for graph in (build_tree(3, 6), LazyTree(4, 8)):
         with pytest.raises(ValueError, match="tol"):
