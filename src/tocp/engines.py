@@ -81,6 +81,8 @@ _SPLIT_ROWS = 1024
 # Count cells per branching block: a block's live rows and their cumulative
 # counts stay a few hundred kB whatever ``n_replicas`` is.
 _BRANCH_CELLS = 1 << 16
+# More events than this in one branching_replicas call raise RuntimeError.
+_MAX_BRANCH_EVENTS = 50_000_000
 
 
 def _block_size(n_replicas: int, n_vertices: int) -> int:
@@ -430,7 +432,6 @@ def branching_replicas(
     n_replicas: int,
     seed: int,
     frontier: str = "escape",
-    max_events: int = 50_000_000,
 ) -> dict:
     """Survival statistics for the oriented branching set process.
 
@@ -451,7 +452,7 @@ def branching_replicas(
     Returns a dict with ``survived``, ``replicas`` and interior event
     counts ``heal_events`` / ``infect_events`` (events at members of
     depth < ``depth``, whose infect fraction estimates the offspring
-    rate).  More than ``max_events`` events in all raise ``RuntimeError``.
+    rate).  More than ``_MAX_BRANCH_EVENTS`` events in all raise ``RuntimeError``.
     """
     if frontier not in ("escape", "absorb"):
         raise ValueError("frontier must be 'escape' or 'absorb'")
@@ -459,6 +460,7 @@ def branching_replicas(
     # time runs in units of 1 / (1 + lam): a row of m members waits Exp(1) / m
     horizon, p_inf = (1.0 + lam) * t_end, lam / (1.0 + lam)
     width = depth + 1
+    max_events = _MAX_BRANCH_EVENTS
     # a row holds at most 1 + (n - 1) * max_events members
     dtype = np.int32 if (n - 1) * max_events < np.iinfo(np.int32).max else np.int64
     bs = max(1, min(n_replicas, _BRANCH_CELLS // width))

@@ -204,8 +204,11 @@ def lambda_scan(
     return [(lam, Estimate.from_indicator(survivors(lam), replicas, s)) for lam in grid]
 
 
+_THINNED_VERTEX = 0  # thinned indicators record this vertex's infection
+
+
 def thinned_survival_indicators(
-    graph: FiniteGraph, lambda_grid, t: float, replicas: int, seed: int, x: int = 0
+    graph: FiniteGraph, lambda_grid, t: float, replicas: int, seed: int
 ) -> np.ndarray:
     """Per-trajectory survival indicators coupled across rates by thinning.
 
@@ -213,7 +216,8 @@ def thinned_survival_indicators(
     infect event carries a uniform mark and the run at rate ``lam``
     accepts it when the mark is below ``lam / lam_max``.  Accepted event
     sets are nested, so the returned (n_rates, replicas) indicator array
-    is nondecreasing along the rate axis, trajectory by trajectory.  One
+    is nondecreasing along the rate axis, trajectory by trajectory; 1 means
+    vertex 0 is infected at time ``t`` from the all-infected start.  One
     threshold replay per replica answers every rate of the grid.
     """
     grid = list(lambda_grid)
@@ -233,7 +237,7 @@ def thinned_survival_indicators(
         marks = np.full(sched.n_events, -1.0)
         marks[infect] = marks_rng.random(int(infect.sum()))
         level = run("threshold", sched, graph, [-math.inf] * graph.n_vertices, [t],
-                    marks=marks)[0][x]
+                    marks=marks)[0][_THINNED_VERTEX]
         out[:, rep] = level < cuts
     return out
 

@@ -49,11 +49,6 @@ class FiniteGraph:
     params : dict
         Construction parameters (``d``/``L`` for tori, ``n``/``depth``/
         ``root`` for trees).
-    sons : ndarray or None
-        For trees, padded matrix of oriented son lists (same layout as
-        ``nbr``); ``None`` otherwise.
-    son_deg : ndarray or None
-        Number of sons per vertex (trees only).
 
     Graphs must not be mutated after construction; everything downstream
     shares them.
@@ -64,8 +59,6 @@ class FiniteGraph:
     deg: np.ndarray
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-    sons: np.ndarray | None = None
-    son_deg: np.ndarray | None = None
 
     def adjacency(self, x: int) -> np.ndarray:
         """Sorted neighbour ids of vertex ``x``."""
@@ -77,9 +70,10 @@ class FiniteGraph:
         return [row[:k] for row, k in zip(self.nbr.tolist(), self.deg.tolist())]
 
     def sons_of(self, x: int) -> np.ndarray:
-        if self.sons is None:
+        """Oriented sons of tree vertex ``x``: its row without the parent."""
+        if self.kind != "tree":
             raise ValueError("graph has no son orientation")
-        return self.sons[x, : self.son_deg[x]]
+        return self.nbr[x, int(x > 0) : self.deg[x]]
 
     def neighbors_fn(self):
         """Return a callable ``x -> tuple of neighbour ids`` (Python ints, for set engines).
@@ -146,15 +140,6 @@ class FiniteGraph:
                 raise AssertionError(f"asymmetric edge ({x},{y})")
 
 
-def _pad_adjacency(adj_lists: list[list[int]], n: int):
-    deg = np.array([len(a) for a in adj_lists], dtype=np.int64)
-    width = int(deg.max()) if n else 0
-    nbr = np.full((n, max(width, 1)), n, dtype=np.int64)
-    for x, a in enumerate(adj_lists):
-        nbr[x, : len(a)] = sorted(a)
-    return nbr, deg
-
-
 def build_torus(d: int, L: int) -> FiniteGraph:
     """Periodic torus (Z/L)^d with L**d vertices, all of degree 2d.
 
@@ -195,21 +180,25 @@ def build_torus(d: int, L: int) -> FiniteGraph:
     return FiniteGraph(V, nbr, deg, kind="torus", params={"d": d, "L": L})
 
 
+def _level_starts(n: int, depth: int, root: str) -> list[int]:
+    """First id of each level ``0 .. depth`` of a level-order tree, then its vertex count."""
+    if root not in ("son_only", "full_degree"):
+        raise ValueError(f"unknown root variant {root!r}")
+    starts = [0, 1]
+    width = n if root == "son_only" else n + 1
+    for _ in range(depth):
+        starts.append(starts[-1] + width)
+        width *= n
+    return starts
+
+
 def tree_vertex_count(n: int, depth: int, root: str = "son_only") -> int:
     """Vertex count of the truncated tree without building it."""
-    r = n if root == "son_only" else n + 1
-    if depth == 0:
-        return 1
-    total = 1
-    level = r
-    for _ in range(depth):
-        total += level
-        level *= n
-    return total
+    return _level_starts(n, depth, root)[-1]
 
 
 def build_tree(n: int, depth: int, root: str = "son_only") -> FiniteGraph:
-    """Depth-truncated rooted tree with son orientation.
+    """Depth-truncated rooted tree, numbered in level order.
 
     Parameters
     ----------
@@ -225,47 +214,35 @@ def build_tree(n: int, depth: int, root: str = "son_only") -> FiniteGraph:
         has ``n + 1`` sons so its degree equals the regular-tree degree
         ``n + 1``.
 
-    Vertices are numbered in level order with the root at 0.  Leaves at
-    the truncation depth have no sons.
+    Vertices are numbered in level order with the root at 0, and the sons
+    of a vertex are consecutive ids.  Row ``x`` of ``nbr`` is therefore
+    the parent (for ``x > 0``) followed by the sons, already sorted, and
+    :meth:`FiniteGraph.sons_of` reads the sons from it.  Leaves at the
+    truncation depth have no sons.
     """
     if n < 2:
         raise ValueError("branching number n must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if root not in ("son_only", "full_degree"):
-        raise ValueError(f"unknown root variant {root!r}")
-    V = tree_vertex_count(n, depth, root)
+    starts = np.array(_level_starts(n, depth, root), dtype=np.int64)
+    V = int(starts[-1])
     if V > MAX_MATERIALIZED_VERTICES:
         raise ValueError(
             f"tree with {V} vertices exceeds materialization limit; use LazyTree"
         )
-    adj: list[list[int]] = [[] for _ in range(V)]
-    sons: list[list[int]] = [[] for _ in range(V)]
-    nxt = 1
-    frontier = [0]
-    for _level in range(depth):
-        new_frontier = []
-        for v in frontier:
-            k = (n + 1) if (v == 0 and root == "full_degree") else n
-            for _ in range(k):
-                adj[v].append(nxt)
-                adj[nxt].append(v)
-                sons[v].append(nxt)
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    assert nxt == V
-    nbr, deg = _pad_adjacency(adj, V)
-    snbr, sdeg = _pad_adjacency(sons, V)
-    return FiniteGraph(
-        V,
-        nbr,
-        deg,
-        kind="tree",
-        params={"n": n, "depth": depth, "root": root},
-        sons=snbr,
-        son_deg=sdeg,
-    )
+    child = np.arange(1, V, dtype=np.int64)
+    lvl = np.repeat(np.arange(1, depth + 1), np.diff(starts[1:]))
+    # the j-th vertex of level l >= 2 hangs from vertex j // n of level l - 1
+    parent = np.where(lvl > 1, starts[lvl - 1] + (child - starts[lvl]) // n, 0)
+    deg = np.bincount(parent, minlength=V)
+    deg[1:] += 1
+    nbr = np.full((V, max(int(deg.max()), 1)), V, dtype=np.int64)
+    nbr[1:, 0] = parent
+    # parents are nondecreasing, so siblings are a run and a son's rank is
+    # its offset from the first of them
+    rank = np.arange(V - 1) - np.searchsorted(parent, parent)
+    nbr[parent, rank + (parent > 0)] = child
+    return FiniteGraph(V, nbr, deg, kind="tree", params={"n": n, "depth": depth, "root": root})
 
 
 def degree(graph: FiniteGraph, x: int) -> int:
@@ -285,10 +262,10 @@ def require_materialized(graph) -> None:
 class LazyTree:
     """Truncated rooted tree addressed arithmetically, never materialized.
 
-    Supports the same level-order numbering as :func:`build_tree` but
-    computes neighbours on demand, so trees with tens of millions of
-    vertices can back set-valued processes that only ever touch a few
-    thousand of them.
+    Shares the level-order numbering of :func:`build_tree` (``level_start``
+    holds the first id of each level) but computes neighbours on demand, so
+    trees with tens of millions of vertices can back set-valued processes
+    that only ever touch a few thousand of them.
     """
 
     kind = "tree_lazy"
@@ -302,39 +279,9 @@ class LazyTree:
         self.n = n
         self.depth = depth
         self.root = root
-        r = n if root == "son_only" else n + 1
-        self.root_sons = r
-        # level_start[l] = id of first vertex at level l
-        starts = [0, 1]
-        width = r
-        for _ in range(1, depth + 1):
-            starts.append(starts[-1] + width)
-            width *= n
-        self.level_start = starts  # length depth + 2
-        self.n_vertices = starts[depth + 1]
+        self.level_start = _level_starts(n, depth, root)  # length depth + 2
+        self.n_vertices = self.level_start[-1]
         self.params = {"n": n, "depth": depth, "root": root}
-
-    def depth_of(self, v: int) -> int:
-        return bisect_right(self.level_start, v) - 1
-
-    def parent(self, v: int) -> int:
-        if v == 0:
-            raise ValueError("root has no parent")
-        lvl = self.depth_of(v)
-        j = v - self.level_start[lvl]
-        if lvl == 1:
-            return 0
-        return self.level_start[lvl - 1] + j // self.n
-
-    def sons_of(self, v: int) -> list[int]:
-        lvl = self.depth_of(v)
-        if lvl >= self.depth:
-            return []
-        if v == 0:
-            return list(range(1, 1 + self.root_sons))
-        j = v - self.level_start[lvl]
-        base = self.level_start[lvl + 1] + j * self.n
-        return list(range(base, base + self.n))
 
     def neighbors_fn(self):
         """Return a callable ``v -> neighbour ids``: the sons, then the parent.
@@ -342,7 +289,7 @@ class LazyTree:
         Each call returns a fresh list (the root's shared tuple aside).
         """
         starts, n, depth = self.level_start, self.n, self.depth
-        root = tuple(range(1, 1 + self.root_sons))
+        root = tuple(range(1, starts[2]))
 
         def fn(v: int):
             if v == 0:

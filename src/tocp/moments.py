@@ -200,7 +200,10 @@ def _power_norm(A, diag: np.ndarray, mu: float) -> float:
     return alpha
 
 
-def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float = 1e-13) -> np.ndarray:
+_EXPM_RTOL = 1e-13  # Taylor stopping tolerance of expm_apply
+
+
+def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float) -> np.ndarray:
     """Action ``exp(tQ) v`` by substepped, shifted truncated Taylor series.
 
     ``v`` is a vector or a block of columns.  With ``mu = max(0, -min diag Q)``
@@ -213,10 +216,10 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float
     2`` with ``alpha = min over p <= 8 of max(|B|**p 1)**(1/p)``, which is
     ``||B**p||_inf**(1/p)`` for a Metzler ``Q`` and an upper bound on it
     otherwise.  Within a substep terms are accumulated until two
-    consecutive terms fall below ``rtol`` relative to the largest entry of
-    the running result.  Target accuracy is well past the 1e-10 contract.
+    consecutive terms fall below ``_EXPM_RTOL`` (1e-13) relative to the
+    largest entry of the running result, well past the 1e-10 contract.
     Entries far below the largest are therefore accurate only absolutely,
-    to about ``rtol`` times the largest entry, not relative to their size.
+    to about 1e-13 times the largest entry, not relative to their size.
     """
     A = Q.matrix if isinstance(Q, TruncatedQ) else Q
     if not (math.isfinite(t) and t >= 0):
@@ -238,7 +241,7 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float, rtol: float
             term += a_term
             term *= tau / k
             w += term
-            if np.max(np.abs(term)) <= rtol * max(np.max(np.abs(w)), 1e-300):
+            if np.max(np.abs(term)) <= _EXPM_RTOL * max(np.max(np.abs(w)), 1e-300):
                 small += 1
                 if small >= 2:
                     break

@@ -164,7 +164,7 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
     which makes the truncated process a lower bound of the unbounded
     one.
     """
-    if graph.sons is None:
+    if graph.kind != "tree":
         raise ValueError("branching process requires a tree with oriented sons")
     _, x, kind = event
     if kind == HEAL:

@@ -108,11 +108,21 @@ def test_scan_grid_points_are_written_exactly(capsys):
 def test_critical_command(capsys):
     code, out = run_cli(
         capsys, "critical", "--graph", "torus:d=1,L=8", "--bracket", "0.2,3.0",
-        "--threshold", "0.05", "--tol", "0.8", "--t", "4.0", "--replicas", "300",
+        "--threshold", "0.3", "--tol", "0.8", "--t", "4.0", "--replicas", "300",
     )
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["lo"]) < float(row["hi"])
+
+
+def test_critical_command_rejects_unknown_lazy_tree_root(capsys):
+    # depth 20 is past the materialization limit, so the spec is a LazyTree
+    code = main(["critical", "--graph", "tree:n=3,depth=20,root=typo", "--bracket", "0.1,0.6",
+                 "--t", "5", "--replicas", "100"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "unknown root variant 'typo'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

@@ -269,18 +269,19 @@ def test_branching_same_seed_same_result(frontier):
     assert a["replicas"] == 2_000 and 0 < a["survived"] < 2_000
 
 
-def test_branching_event_budget_is_exact():
+def test_branching_event_budget_is_exact(monkeypatch):
     # in escape mode every applied event is an interior one, so the budget
     # that the run just fits is the sum of the two event counts; at t = 2
     # most rows are still alive at the horizon, whose ring applies no event
     args = (5, 0.5, 2.0, 12, 2_000)
     out = engines.branching_replicas(*args, seed=24)
     used = out["heal_events"] + out["infect_events"]
-    assert engines.branching_replicas(*args, seed=24, max_events=used) == out
-    with pytest.raises(RuntimeError, match="budget"):
-        engines.branching_replicas(*args, seed=24, max_events=used - 1)
-    with pytest.raises(RuntimeError, match="budget"):
-        engines.branching_replicas(*args, seed=24, max_events=100)
+    monkeypatch.setattr(engines, "_MAX_BRANCH_EVENTS", used)
+    assert engines.branching_replicas(*args, seed=24) == out
+    for budget in (used - 1, 100):
+        monkeypatch.setattr(engines, "_MAX_BRANCH_EVENTS", budget)
+        with pytest.raises(RuntimeError, match="budget"):
+            engines.branching_replicas(*args, seed=24)
 
 
 def test_branching_result_across_a_block_boundary():

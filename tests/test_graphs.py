@@ -1,3 +1,7 @@
+from collections import deque
+from itertools import accumulate
+
+import numpy as np
 import pytest
 
 from tocp.graphs import (
@@ -108,6 +112,60 @@ def test_tree_son_orientation_partitions_vertices():
     assert interior == tree_vertex_count(3, 2)
 
 
+def bfs_tree(n, depth, root):
+    """Independent oracle: hand out ids from a breadth-first queue, then pad
+    sorted rows with the phantom id as ``build_tree`` stores them."""
+    adj = [[]]
+    queue = deque([(0, 0)])
+    while queue:
+        v, level = queue.popleft()
+        if level == depth:
+            continue
+        for _ in range(n + 1 if v == 0 and root == "full_degree" else n):
+            w = len(adj)
+            adj.append([v])
+            adj[v].append(w)
+            queue.append((w, level + 1))
+    V = len(adj)
+    nbr = np.full((V, max(max(map(len, adj)), 1)), V, dtype=np.int64)
+    for v, row in enumerate(adj):
+        nbr[v, : len(row)] = sorted(row)
+    deg = np.array([len(row) for row in adj], dtype=np.int64)
+    sons = [[w for w in row if w > v] for v, row in enumerate(adj)]
+    return nbr, deg, sons
+
+
+@pytest.mark.parametrize("n,depth,root", [
+    (2, 0, "son_only"), (2, 1, "son_only"), (3, 1, "full_degree"),
+    (3, 4, "son_only"), (4, 3, "full_degree"), (2, 7, "son_only"),
+])
+def test_tree_numbering_matches_breadth_first_oracle(n, depth, root):
+    g = build_tree(n, depth, root)
+    nbr, deg, sons = bfs_tree(n, depth, root)
+    assert g.nbr.dtype == nbr.dtype and g.deg.dtype == deg.dtype
+    np.testing.assert_array_equal(g.nbr, nbr)
+    np.testing.assert_array_equal(g.deg, deg)
+    assert [g.sons_of(v).tolist() for v in range(g.n_vertices)] == sons
+    assert tree_vertex_count(n, depth, root) == g.n_vertices
+
+
+def test_sons_of_needs_a_tree():
+    with pytest.raises(ValueError, match="son orientation"):
+        build_torus(1, 4).sons_of(0)
+
+
+@pytest.mark.parametrize("depth", [5, 20])  # materialized, then lazy
+def test_tree_spec_rejects_unknown_root(depth):
+    with pytest.raises(ValueError, match="unknown root variant 'typo'"):
+        parse_graph_spec(f"tree:n=3,depth={depth},root=typo")
+
+
+@pytest.mark.parametrize("make", [LazyTree, build_tree, tree_vertex_count])
+def test_unknown_root_is_rejected(make):
+    with pytest.raises(ValueError, match="unknown root variant 'nonsense'"):
+        make(3, 5, "nonsense")
+
+
 def test_degree_rejects_bad_vertex():
     g = build_torus(1, 4)
     with pytest.raises(ValueError):
@@ -134,7 +192,6 @@ def test_lazy_tree_matches_materialized():
     nf = lz.neighbors_fn()
     for v in (0, 1, 5, 40, g.n_vertices - 1):
         assert sorted(nf(v)) == sorted(g.adjacency(v).tolist())
-        assert sorted(lz.sons_of(v)) == sorted(g.sons_of(v).tolist())
 
 
 def test_lazy_tree_full_root():
@@ -151,20 +208,16 @@ def test_lazy_tree_neighbours_on_every_vertex(root):
     g = build_tree(3, 5, root)
     lz = LazyTree(3, 5, root)
     nf = lz.neighbors_fn()
-    depth = [0] * g.n_vertices
-    for v in range(1, g.n_vertices):
-        parent = min(g.adjacency(v).tolist())  # level order: the parent has the smaller id
-        depth[v] = depth[parent] + 1
-        assert lz.parent(v) == parent
+    widths = [1] + [int(g.deg[0]) * 3**k for k in range(5)]
+    assert lz.level_start == list(accumulate(widths, initial=0))
     for v in range(g.n_vertices):
         got = nf(v)
         assert all(type(y) is int for y in got)
         assert len(got) == g.deg[v] and set(got) == set(g.adjacency(v).tolist())
         sons = g.sons_of(v).tolist()
-        assert list(got[: len(sons)]) == sons == lz.sons_of(v)  # sons first, in order
+        assert list(got[: len(sons)]) == sons  # sons first, in order
         if v:
-            assert got[-1] == lz.parent(v)  # then the parent
-        assert lz.depth_of(v) == depth[v]
+            assert got[-1] == g.nbr[v, 0]  # then the parent
 
 
 def test_lazy_tree_neighbour_rows_are_not_shared():
