@@ -29,6 +29,9 @@ __all__ = [
 
 #: Materializing more vertices than this is refused; use LazyTree instead.
 MAX_MATERIALIZED_VERTICES = 2_000_000
+#: Deeper trees are refused: level starts are exact integers, so their
+#: memory grows with depth**2 (10.8 MB at n = 3, depth 10_000).
+MAX_TREE_DEPTH = 10_000
 
 
 @dataclass
@@ -184,6 +187,8 @@ def _level_starts(n: int, depth: int, root: str) -> list[int]:
     """First id of each level ``0 .. depth`` of a level-order tree, then its vertex count."""
     if root not in ("son_only", "full_degree"):
         raise ValueError(f"unknown root variant {root!r}")
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {depth} exceeds the limit {MAX_TREE_DEPTH}")
     starts = [0, 1]
     width = n if root == "son_only" else n + 1
     for _ in range(depth):
@@ -207,7 +212,7 @@ def build_tree(n: int, depth: int, root: str = "son_only") -> FiniteGraph:
         one parent and ``n`` sons.
     depth : int
         Number of edge levels below the root; ``depth = 0`` is a single
-        vertex.
+        vertex.  At most :data:`MAX_TREE_DEPTH`.
     root : {"son_only", "full_degree"}
         ``"son_only"``: the root has ``n`` sons (degree ``n``), matching
         the oriented branching construction.  ``"full_degree"``: the root
@@ -224,12 +229,13 @@ def build_tree(n: int, depth: int, root: str = "son_only") -> FiniteGraph:
         raise ValueError("branching number n must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    starts = np.array(_level_starts(n, depth, root), dtype=np.int64)
-    V = int(starts[-1])
+    starts = _level_starts(n, depth, root)
+    V = starts[-1]
     if V > MAX_MATERIALIZED_VERTICES:
         raise ValueError(
             f"tree with {V} vertices exceeds materialization limit; use LazyTree"
         )
+    starts = np.array(starts, dtype=np.int64)
     child = np.arange(1, V, dtype=np.int64)
     lvl = np.repeat(np.arange(1, depth + 1), np.diff(starts[1:]))
     # the j-th vertex of level l >= 2 hangs from vertex j // n of level l - 1

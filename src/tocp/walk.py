@@ -404,6 +404,15 @@ def _sorted_classes(d: int, radius: int):
 # Monte Carlo oracle
 
 
+def _packed_layout(d: int, horizon_steps: int) -> tuple[int, int, int]:
+    """Field width, fields per int64 word and word count of the walk state."""
+    # a coordinate of a walk from e1 stays within +-(horizon_steps + 1), so
+    # offset by 2**(bits - 1) > horizon_steps + 2 it fills [1, 2**bits)
+    bits = (horizon_steps + 2).bit_length() + 1
+    per_word = 62 // bits
+    return bits, per_word, -(-d // per_word)
+
+
 def mc_return_oracle(d: int, trials: int, horizon_steps: int, seed: int) -> dict:
     """Fraction of walks from e1 that hit the origin within a step budget.
 
@@ -411,37 +420,57 @@ def mc_return_oracle(d: int, trials: int, horizon_steps: int, seed: int) -> dict
     lower bound for ``F_d(e1)``; the matching truncated expectation is
     ``sum_{2n <= horizon} f(2n)`` from :func:`first_return_probabilities`.
     Returns a dict with ``estimate``, ``se``, ``hits`` and ``trials``.
+
+    Each step draws ``k = floor(rng.random(m) * 2d)`` for the ``m`` walks
+    still out, in order, and moves axis ``k >> 1`` by ``-1`` for even
+    ``k`` and ``+1`` for odd ``k``; a walk that reaches the origin is
+    counted and retired.  The hits are a function of ``(d, trials,
+    horizon_steps, seed)`` alone.
+
+    The walk state is packed: with ``bits = (horizon_steps + 2).bit_length()
+    + 1``, each coordinate plus ``2**(bits - 1)`` sits in its own
+    ``bits``-wide field, ``62 // bits`` fields to an int64 word.  A field
+    holds every coordinate within ``horizon_steps + 1`` of zero, so a
+    +-1 step never carries into its neighbour: a step is one table lookup
+    and one add per word, and "at the origin" is one equality per word
+    against a constant.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if horizon_steps < 0:
+        raise ValueError(f"need horizon_steps >= 0, got {horizon_steps}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    active = np.zeros((trials, d), dtype=np.int16)
-    active[:, 0] = 1
-    # per-walk count of nonzero coordinates: a step changes one axis, so
-    # the count moves with that axis alone and "at the origin" is O(1)
-    nonzero = np.ones(trials, dtype=np.int8)
-    rows = np.arange(trials)
+    bits, per_word, n_words = _packed_layout(d, horizon_steps)
+    offset = 1 << (bits - 1)
+    # delta[w, k] is what step k adds to word w
+    delta = np.zeros((n_words, 2 * d), dtype=np.int64)
+    origin = [0] * n_words
+    for axis in range(d):
+        w, field = divmod(axis, per_word)
+        unit = 1 << (field * bits)
+        delta[w, 2 * axis] = -unit
+        delta[w, 2 * axis + 1] = unit
+        origin[w] += offset * unit
+    state = [np.full(trials, o, dtype=np.int64) for o in origin]
+    state[0] += 1  # e1: axis 0 is the low field of word 0
     hits = 0
     for _ in range(horizon_steps):
-        m = len(active)
+        m = len(state[0])
         if m == 0:
             break
-        r = rng.random(m) * (2 * d)
-        k = r.astype(np.int64)
-        axis = k >> 1
-        step = ((k & 1) << 1) - 1
-        old = active[rows[:m], axis]
-        new = old + step.astype(np.int16)
-        active[rows[:m], axis] = new
-        nonzero += new != 0
-        nonzero -= old != 0
-        at_zero = nonzero == 0
-        nh = int(at_zero.sum())
+        k = (rng.random(m) * (2 * d)).astype(np.int64)
+        for w in range(n_words):
+            state[w] += delta[w].take(k)
+        at_zero = state[0] == origin[0]
+        for w in range(1, n_words):
+            at_zero &= state[w] == origin[w]
+        nh = int(np.count_nonzero(at_zero))
         if nh:
             hits += nh
             keep = ~at_zero
-            active = active[keep]
-            nonzero = nonzero[keep]
+            state = [s[keep] for s in state]
     est = hits / trials
     se = math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
     return {"estimate": est, "se": se, "hits": hits, "trials": trials}

@@ -125,6 +125,15 @@ def test_critical_command_rejects_unknown_lazy_tree_root(capsys):
     assert captured.out == ""
 
 
+def test_critical_command_rejects_a_too_deep_tree(capsys):
+    code = main(["critical", "--graph", "tree:n=3,depth=1000000", "--bracket", "0.1,0.6",
+                 "--t", "5", "--replicas", "100"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "exceeds the limit 10000" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_critical_command_rejects_bad_tol(capsys, monkeypatch, tol):
     def evaluated(*_a, **_k):

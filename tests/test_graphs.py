@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tocp.graphs import (
+    MAX_TREE_DEPTH,
     FiniteGraph,
     LazyTree,
     build_torus,
@@ -164,6 +165,25 @@ def test_tree_spec_rejects_unknown_root(depth):
 def test_unknown_root_is_rejected(make):
     with pytest.raises(ValueError, match="unknown root variant 'nonsense'"):
         make(3, 5, "nonsense")
+
+
+def test_build_tree_refuses_a_huge_tree_before_allocating():
+    # (3**41 - 1) / 2 vertices overflow int64; the size check must come first
+    with pytest.raises(ValueError, match="exceeds materialization limit; use LazyTree"):
+        build_tree(3, 40)
+
+
+@pytest.mark.parametrize("make", [LazyTree, build_tree, tree_vertex_count])
+def test_tree_depth_is_capped(make):
+    with pytest.raises(ValueError, match=f"exceeds the limit {MAX_TREE_DEPTH}"):
+        make(3, MAX_TREE_DEPTH + 1)
+
+
+def test_tree_spec_depth_is_capped():
+    # a depth of a million would ask for about 100 GB of level starts
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_graph_spec("tree:n=3,depth=1000000")
+    assert LazyTree(3, MAX_TREE_DEPTH).n_vertices == tree_vertex_count(3, MAX_TREE_DEPTH)
 
 
 def test_degree_rejects_bad_vertex():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,28 @@ def test_d_times_tail_sum_decreases():
     assert vals[-1] < 0.1
 
 
+def naive_return_hits(d, trials, horizon_steps, seed):
+    """Walks from e1 that reach the origin, with full int64 coordinates.
+
+    Draws exactly as :func:`walk.mc_return_oracle` does: one uniform per
+    walk still out, in order, step ``k`` moving axis ``k // 2`` by
+    ``-1`` (even ``k``) or ``+1`` (odd ``k``).
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+    pos = np.zeros((trials, d), dtype=np.int64)
+    pos[:, 0] = 1
+    hits = 0
+    for _ in range(horizon_steps):
+        if not len(pos):
+            break
+        k = (rng.random(len(pos)) * (2 * d)).astype(np.int64)
+        pos[np.arange(len(pos)), k // 2] += 2 * (k % 2) - 1
+        home = ~pos.any(axis=1)
+        hits += int(home.sum())
+        pos = pos[~home]
+    return hits
+
+
 # ---------------------------------------------------------------------------
 # hitting tables
 
@@ -288,6 +311,55 @@ def test_mc_hits_pinned():
     # the O(1) at-origin test must leave the draws and the hits unchanged
     assert walk.mc_return_oracle(3, 20_000, 1_000, seed=11)["hits"] == 6612
     assert walk.mc_return_oracle(10, 20_000, 600, seed=11)["hits"] == 1128
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6, 11, 13])
+def test_mc_hits_match_naive_coordinates(d):
+    # 61/62 and 125/126 sit on either side of a field-width change, and
+    # the walk state of d = 6, 11 and 13 takes one to three words
+    for horizon in (1, 6, 61, 62, 125, 126, 510):
+        want = naive_return_hits(d, 3_000, horizon, seed=d + horizon)
+        assert walk.mc_return_oracle(d, 3_000, horizon, seed=d + horizon)["hits"] == want
+
+
+def test_mc_packed_fields_fit():
+    # no walks: every coordinate within +-(horizon + 1) fits its field, and
+    # the fields of one word fit in 62 bits
+    horizons = set(range(300))
+    for j in range(2, 41):
+        horizons |= {2**j - 3, 2**j - 2, 2**j - 1, 2**j, 2**j + 1}
+    for horizon in sorted(horizons):
+        for d in (1, 3, 10, 13, 400):
+            bits, per_word, n_words = walk._packed_layout(d, horizon)
+            offset = 2 ** (bits - 1)
+            assert offset - (horizon + 1) >= 0
+            assert offset + horizon + 1 < 2**bits
+            assert per_word >= 1 and per_word * bits <= 62
+            assert (n_words - 1) * per_word < d <= n_words * per_word
+
+
+def test_mc_no_false_returns_in_high_dimension():
+    # an int8 count of nonzero coordinates wrapped to 0 at 256 of them
+    out = walk.mc_return_oracle(400, 300, 1500, seed=5)
+    assert out["hits"] == 3
+
+
+@pytest.mark.parametrize("d, trials, horizon", [(0, 10, 5), (-1, 10, 5), (3, 10, -5), (3, 0, 5)])
+def test_mc_rejects_bad_arguments(d, trials, horizon):
+    with pytest.raises(ValueError):
+        walk.mc_return_oracle(d, trials, horizon, seed=1)
+
+
+@pytest.mark.parametrize("d, horizon", [(3, 1_000), (10, 600)])
+def test_mc_traced_memory_is_small(d, horizon):
+    # drawing a whole (trials x horizon) block at once would take 160 MB
+    tracemalloc.start()
+    try:
+        walk.mc_return_oracle(d, 20_000, horizon, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mc_lower_bounds_limit():
