@@ -140,18 +140,18 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     graph : FiniteGraph
         Only ``n_vertices`` is used.
     lam : float
-        Infect-clock rate, ``>= 0`` (0 gives a heal-only schedule).
+        Infect-clock rate, finite and ``>= 0`` (0 gives a heal-only schedule).
     horizon : float
-        Right end of the time window, ``>= 0``.
+        Right end of the time window, finite and ``>= 0``.
     seed : int
         Master seed in ``[0, 2**64)``; per-vertex streams derive from it
         independently.
     """
     require_materialized(graph)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"need finite lam >= 0, got lam={lam}")
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"need finite horizon >= 0, got horizon={horizon}")
     V = graph.n_vertices
     parts = [_realize(seed, np.arange(V), kind, rate, horizon)
              for kind, rate in ((HEAL, 1.0), (INFECT, lam))]

@@ -98,6 +98,8 @@ def _check_obs(obs_times) -> np.ndarray:
     obs = np.asarray(obs_times, dtype=np.float64)
     if obs.ndim != 1 or len(obs) == 0:
         raise ValueError("need at least one observation time")
+    if not np.isfinite(obs).all():
+        raise ValueError(f"observation times must be finite, got {obs.tolist()}")
     if (np.diff(obs) < 0).any() or obs[0] < 0:
         raise ValueError("observation times must be sorted and nonnegative")
     return obs
@@ -133,6 +135,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     require_materialized(graph)
     cn = _closed_neighbourhoods(graph)
     w, V = cn.shape
+    if not 0 <= observe_vertex < V:
+        raise ValueError(f"vertex {observe_vertex} out of range for {V} vertices")
     stride = V + 1
     rate, p_inf = V * (1.0 + lam), lam / (1.0 + lam)
     headroom = None

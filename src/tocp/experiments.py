@@ -101,6 +101,8 @@ def duality_check(
     distributions, not trajectories).  Low replica counts inflate the
     standard errors but keep the z-score honest.
     """
+    if not 0 <= x < graph.n_vertices:
+        raise ValueError(f"vertex {x} out of range for {graph.n_vertices} vertices")
     s_eta = _subseed(seed, 1)
     s_dual = _subseed(seed, 2)
     eta_vals = engines.spin_replicas(graph, lam, [t], x, replicas, s_eta)[0]

@@ -171,14 +171,14 @@ def return_series(d: int, n_max: int) -> ReturnSeries:
     return ReturnSeries(d, return_probabilities(d, n_max), n_max, _tail_sup_mk(d))
 
 
-def first_return_probabilities(p: np.ndarray, n_max: int | None = None) -> np.ndarray:
+def first_return_probabilities(p: np.ndarray) -> np.ndarray:
     """First-return probabilities ``f(2n)`` from return probabilities.
 
     Uses the renewal recursion ``p(2n) = sum_{k<=n} f(2k) p(2n-2k)``
     (with p(0) = 1).  ``p`` is indexed by n starting at 1, as produced by
     :func:`return_probabilities`.
     """
-    N = n_max or len(p)
+    N = len(p)
     f = np.zeros(N)
     for n in range(1, N + 1):
         acc = p[n - 1]

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from tocp import clocks, engines, moments, walk
-from tocp.cli import main
+from tocp.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from tocp.clocks import load_schedule
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -304,6 +308,94 @@ def test_simulate_rejects_bad_rate(capsys, lam, extra):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: need finite lam >= 0")
     assert captured.out == ""
+
+
+def assert_input_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+TORUS_8 = ["--graph", "torus:d=1,L=8"]
+
+
+# 8 is the phantom cell of torus(1, 8), and 9 is vertex 0 of the next replica's row
+@pytest.mark.parametrize("vertex", ["-1", "8", "9"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", *TORUS_8, "--lambda", "0.9", "--t", "1", "--replicas", "500"],
+    ["simulate", *TORUS_8, "--lambda", "0.9", "--t", "1", "--replicas", "500", "--per-replica"],
+    ["duality", *TORUS_8, "--lambda", "0.9", "--t", "1", "--replicas", "500"],
+], ids=["simulate", "per-replica", "duality"])
+def test_vertex_outside_graph_exit_code(capsys, argv, vertex):
+    assert_input_error(capsys, argv + ["--vertex", vertex], f"vertex {vertex} out of range")
+
+
+@pytest.mark.parametrize("lam,t,message", [
+    ("inf", "1", "need finite lam >= 0, got lam=inf"),
+    ("nan", "1", "need finite lam >= 0, got lam=nan"),
+    ("0.5", "inf", "need finite horizon >= 0, got horizon=inf"),
+])
+def test_dump_schedule_non_finite_input_exit_code(tmp_path, capsys, lam, t, message):
+    path = tmp_path / "s.bin"
+    assert_input_error(capsys, ["simulate", *TORUS_8, "--lambda", lam, "--t", t,
+                                "--dump-schedule", str(path)], message)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *TORUS_8, "--lambda", "0.5", "--t", "inf"],
+    ["simulate", *TORUS_8, "--lambda", "0.5", "--t", "nan", "--per-replica"],
+    ["duality", *TORUS_8, "--lambda", "0.5", "--t", "inf"],
+    ["scan", *TORUS_8, "--lambda-grid", "0.1:0.3:0.1", "--t", "inf"],
+])
+def test_non_finite_time_exit_code(capsys, argv):
+    assert_input_error(capsys, argv, "observation times must be finite")
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("0.1:inf:0.1", "grid must be a:b:step with finite a <= b and finite step > 0"),
+    ("nan:0.9:0.1", "grid must be a:b:step with finite a <= b and finite step > 0"),
+    ("0.1:0.9:nan", "grid must be a:b:step with finite a <= b and finite step > 0"),
+    ("0.1:0.9:1e-300", f"grid '0.1:0.9:1e-300' has more than {MAX_GRID_POINTS} points"),
+])
+def test_scan_bad_grid_exit_code(capsys, grid, message):
+    assert_input_error(capsys, ["scan", *TORUS_8, "--lambda-grid", grid, "--t", "1"], message)
+
+
+def test_grid_point_limit():
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    for spec in (f"0:{MAX_GRID_POINTS}:1", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            _parse_grid(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--d", "5"],
+    ["moments", "--d", "2", "--lambda", "0.3", "--radius", "2", "--times", "1"],
+    ["bounds", "--tree", "3"],
+    ["qcheck", "--d", "2", "--lambda", "0.3", "--radius", "2"],
+], ids=lambda argv: argv[0])
+def test_seed_is_refused_where_nothing_is_random(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tocp ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "duality", "scan", "critical", "green", "moments", "bounds", "qcheck"]
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert hasattr(args, "seed") == (argv[0] in ("simulate", "duality", "scan", "critical"))
 
 
 def test_usage_error_exit_code(capsys):

@@ -36,6 +36,19 @@ def test_negative_inputs_rejected():
         build_schedule(g, 0.1, -1.0, seed=1)
 
 
+@pytest.mark.parametrize("lam,horizon,named", [
+    (np.inf, 1.0, "lam=inf"), (np.nan, 1.0, "lam=nan"),
+    (0.5, np.inf, "horizon=inf"), (0.5, np.nan, "horizon=nan"),
+])
+def test_non_finite_inputs_rejected(monkeypatch, lam, horizon, named):
+    def drawn(*_a):
+        raise AssertionError("a clock was drawn")
+
+    monkeypatch.setattr(clocks, "_realize", drawn)
+    with pytest.raises(ValueError, match=f"need finite .* >= 0, got {named}"):
+        build_schedule(build_torus(1, 4), lam, horizon, seed=1)
+
+
 def test_global_order_and_tiebreak():
     s = build_schedule(build_torus(2, 4), 0.7, 8.0, seed=3)
     key = list(zip(s.times.tolist(), s.vertices.tolist(), s.kinds.tolist()))

@@ -384,15 +384,32 @@ def test_threshold_retired_rows_read_inf():
     assert (levels[2] == np.inf).all()
 
 
+# the four lock-step engines, as (graph, lam, obs_times, vertex) -> 50 replicas
+LOCKSTEP = {
+    "spin": lambda g, lam, ts, x: engines.spin_replicas(g, lam, ts, x, 50, seed=1),
+    "counts": lambda g, lam, ts, x: engines.counts_replicas(g, lam, ts, x, 50, seed=1),
+    "reals": lambda g, lam, ts, x: engines.reals_replicas(g, lam, 1, ts, x, 50, seed=1),
+    "threshold": lambda g, lam, ts, x: engines.threshold_replicas(g, lam, ts, x, 50, seed=1),
+}
+
+
 @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("engine", ["spin", "counts", "reals", "threshold"])
+@pytest.mark.parametrize("engine", list(LOCKSTEP))
 def test_lockstep_engines_reject_bad_rate(engine, lam):
-    g = build_torus(1, 8)
-    calls = {
-        "spin": lambda: engines.spin_replicas(g, lam, [1.0], 0, 50, seed=1),
-        "counts": lambda: engines.counts_replicas(g, lam, [1.0], 0, 50, seed=1),
-        "reals": lambda: engines.reals_replicas(g, lam, 1, [1.0], 0, 50, seed=1),
-        "threshold": lambda: engines.threshold_replicas(g, lam, [1.0], 0, 50, seed=1),
-    }
     with pytest.raises(ValueError, match="lam"):
-        calls[engine]()
+        LOCKSTEP[engine](build_torus(1, 8), lam, [1.0], 0)
+
+
+# 8 is the phantom cell of torus(1, 8), and 9 is vertex 0 of the next row
+@pytest.mark.parametrize("vertex", [-1, 8, 9])
+@pytest.mark.parametrize("engine", list(LOCKSTEP))
+def test_lockstep_engines_reject_vertex_outside_graph(engine, vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range for 8 vertices"):
+        LOCKSTEP[engine](build_torus(1, 8), 0.5, [1.0], vertex)
+
+
+@pytest.mark.parametrize("times", [[math.inf], [math.nan], [0.5, math.inf]])
+@pytest.mark.parametrize("engine", list(LOCKSTEP))
+def test_lockstep_engines_reject_non_finite_times(engine, times):
+    with pytest.raises(ValueError, match="observation times must be finite"):
+        LOCKSTEP[engine](build_torus(1, 8), 0.5, times, 0)

@@ -58,6 +58,17 @@ def test_duality_trivial_time_zero():
     assert res.p_eta.value == 1.0 and res.p_dual.value == 1.0 and res.z == 0.0
 
 
+@pytest.mark.parametrize("x", [-1, 8, 9])
+def test_duality_rejects_vertex_outside_graph(monkeypatch, x):
+    def drawn(*_a, **_k):
+        raise AssertionError("replicas were drawn")
+
+    monkeypatch.setattr(engines, "spin_replicas", drawn)
+    monkeypatch.setattr(engines, "set_survival_replicas", drawn)
+    with pytest.raises(ValueError, match=f"vertex {x} out of range for 8 vertices"):
+        duality_check(build_torus(1, 8), x, 0.5, 1.0, 200, seed=5)
+
+
 def test_duality_zero_rate_reduces_to_first_heal():
     g = build_torus(1, 8)
     t = 0.7
