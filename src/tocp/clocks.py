@@ -70,14 +70,29 @@ class ClockSchedule:
         return len(self.times)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, a bijection of uint64, applied in place."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer, a bijection of uint64, applied in place.
+
+    ``tmp``, a uint64 array of ``z``'s shape, holds the shifted copies.
+    """
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= np.uint64(mul)
     return z
+
+
+def _stream_keys(seed: int, ids: np.ndarray, kind: int) -> np.ndarray:
+    """Keys of the streams ``(seed, ids[i], kind)``, distinct within a seed.
+
+    Value ``k >= 1`` of a stream with key ``key`` is ``_mix(key + k * _GAMMA)``.
+    """
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    base = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
+    return _mix(base + (2 * np.asarray(ids).astype(np.uint64) + np.uint64(kind + 1)) * _GAMMA)
 
 
 def _chunk(expect: float) -> int:
@@ -91,11 +106,7 @@ def _realize(seed: int, vertices: np.ndarray, kind: int, rate: float, horizon: f
     Times are running sums of the gaps, accumulated left to right across
     rounds and divided by ``rate``, so they do not depend on the rounds.
     """
-    if not 0 <= operator.index(seed) < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    # one key per clock, distinct within a seed
-    base = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
-    keys = _mix(base + (2 * vertices.astype(np.uint64) + np.uint64(kind + 1)) * _GAMMA)
+    keys = _stream_keys(seed, vertices, kind)  # one key per clock
     times, rows = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     n = min(_chunk(max(rate * horizon, 0.0)), _BLOCK_CELLS)
     block = _BLOCK_CELLS // n

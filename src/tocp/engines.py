@@ -25,13 +25,36 @@ Replicas whose configuration is absorbed (all zero; all ``+inf`` for
 threshold levels) are retired, and a block stops as soon as none is
 left.
 
-Determinism: given the same ``(graph, lam, obs, n_replicas, seed)`` the
-output is reproducible; replica blocks derive their generators from
-``SeedSequence(seed, spawn_key=(block_index,))``.  The random draws do
-not depend on the rule, so the engines share their random numbers: with
-equal arguments ``spin_replicas`` equals ``counts_replicas > 0`` replica
-by replica, and ``reals_replicas`` equals the counting values times
-``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
+Determinism: every replica reads its own two counter-based streams
+(Salmon et al., *Parallel random numbers: as easy as 1, 2, 3*, SC'11),
+as the clocks of :mod:`tocp.clocks` do.  Value ``k`` of stream
+``(seed, i, kind)`` is a splitmix64 mix of the three: the count stream
+of replica ``i`` gives its number of events in each observation
+interval (Poisson, by inversion of a table of the CDF), and its mark
+stream gives event ``k``'s vertex and infect mark.  A replica's output
+therefore depends on ``(graph, lam, obs, seed, i)`` only, not on its
+block, on the number of replicas, or on when other replicas retire:
+replica ``i`` of a 100-replica run is replica ``i`` of a 10^5-replica
+run, and it can be rerun alone.  Seeds lie in ``[0, 2**64)``.  The
+draws do not depend on the rule, so the engines share their random
+numbers: with equal arguments ``spin_replicas`` equals
+``counts_replicas > 0`` replica by replica, and ``reals_replicas``
+equals the counting values times ``exp((1 - 2*lam*d) * t)`` up to
+float64 rounding.
+
+Light cone: the spin and threshold folds are monotone, so a run on the
+ball ``B_r(x)`` around the observed vertex, from the same streams, with
+the cells outside held at the blank value gives a lower bound and with
+them held at the full value an upper bound on the full graph's value at
+every ball cell (the sandwich of monotone coupling from the past; Propp
+& Wilson, *Random Struct. Alg.* 9, 1996).  Such a run reads each
+replica's whole mark stream but folds only the events at ball vertices.
+Where the two bounds agree at ``x`` at every observation time they are
+the value, bit for bit; only the replicas where they differ are rerun
+on the full graph.  The radius is a speed choice (:func:`_radius`: the
+distance a chain of infect events covers by the last observation time,
+with the full graph where the ball is not much smaller), not a
+parameter: the output is the same for every radius.
 
 The threshold fold runs every rate up to ``lam_max`` at once.  The spin
 process is attractive and thinning is a monotone coupling (Liggett,
@@ -55,7 +78,8 @@ replica at a time in Python over 8192-long lists of draws.  The oriented
 branching set needs members per depth only, so it runs in lock step over
 rows of per-depth counts: each pass draws, for every live row, a time
 step, the ringing member's depth (inverse CDF over the row's cumulative
-counts) and an infect/heal uniform, with blocks seeded as above.
+counts) and an infect/heal uniform; a block of rows draws from
+``SeedSequence(seed, spawn_key=(block_index,))``.
 
 Agreement with the schedule-driven reference dynamics is established
 statistically in the test suite; couplings that need *shared* clocks
@@ -63,26 +87,47 @@ always go through :class:`tocp.clocks.ClockSchedule` instead.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .clocks import _GAMMA, _mix, _stream_keys
 from .graphs import FiniteGraph, require_materialized
 
 __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
            "set_survival_replicas", "branching_replicas"]
 
-# State cells per replica block, whatever the rule (so that every rule draws
-# the same random numbers).  Blocks far past the L2 cache measured slower per
-# event; smaller ones pay more per-pass overhead.
-_BLOCK_CELLS = 4 * 1024 * 1024
-_CHUNK_CELLS = 256 * 1024  # gather indices prepared ahead (2 MB of int64)
+# State cells per replica block, whatever the rule.  Blocks of 1M and 4M cells
+# ran counts_replicas on torus(2, 16) equally fast; the smaller bound keeps a
+# block of int64 counts at 8 MB.  Far smaller blocks pay more per-pass overhead.
+_BLOCK_CELLS = 1024 * 1024
+_CHUNK_CELLS = 256 * 1024  # gather indices or stream values prepared ahead (2 MB)
 # From this many active rows on, a pass gathers neighbourhoods for infect
 # rows only; below it one branch-free gather over all rows needs fewer calls.
 _SPLIT_ROWS = 1024
+# Light cone (see _radius): radius _CONE_MARGIN + ceil(_CONE_SPEED * lam * t),
+# on graphs with at least _BALL_GAIN times the ball's vertices.  On tree(3, 8)
+# at lam = 0.4, t = 3 that is radius 4, where the bounds differed on none of
+# 300 rows and on about 0.06% of 20k.
+_CONE_SPEED = 2.0
+_CONE_MARGIN = 1
+_BALL_GAIN = 32
+# Ball events a row folds per segment of its stream, on average: the passes
+# over a segment's ragged per-row lists are padded to the longest one.
+_BALL_PASSES = 64
+# Stream values a group of light-cone rows draws and filters at once (1 MiB
+# of uint64).
+_DRAW_CELLS = 128 * 1024
+# Largest Poisson mean drawn from one inverse-CDF table; larger means are
+# sums of equal pieces, one uniform each.
+_POISSON_PIECE = 1 << 20
 # Count cells per branching block: a block's live rows and their cumulative
 # counts stay a few hundred kB whatever ``n_replicas`` is.
 _BRANCH_CELLS = 1 << 16
 # More events than this in one branching_replicas call raise RuntimeError.
 _MAX_BRANCH_EVENTS = 50_000_000
+# The two counter-based streams of each lock-step replica.
+_COUNTS, _MARKS = 0, 1
 
 
 def _block_size(n_replicas: int, n_vertices: int) -> int:
@@ -106,6 +151,100 @@ def _check_obs(obs_times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-replica streams
+
+
+def _steps(n) -> np.ndarray:
+    """``k * _GAMMA`` for ``k`` in ``n`` (an int or an int array), wrapping as uint64."""
+    return np.asarray(n, dtype=np.uint64) * _GAMMA
+
+
+def _poisson_table(mu: float):
+    """``(lo, cdf, pieces)``: Poisson(``mu``) is the sum of ``pieces`` draws
+    ``lo + searchsorted(cdf, u, side="right")``, one uniform ``u`` each.
+
+    The table spans the piece mean -10 to +10 standard deviations (+40):
+    the mass it leaves out is below 1e-20.
+    """
+    pieces = max(1, math.ceil(mu / _POISSON_PIECE))
+    m = mu / pieces
+    sd = math.sqrt(m)
+    lo, hi = max(0, math.floor(m - 10 * sd)), math.ceil(m + 10 * sd + 40)
+    # log pmf ratios to the first entry: log(m / k) per step up
+    logw = np.concatenate([[0.0], np.cumsum(np.log(m / np.arange(lo + 1, hi + 1)))])
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf /= cdf[-1]
+    return lo, cdf, pieces
+
+
+def _event_counts(count_keys: np.ndarray, interval: int, table) -> np.ndarray:
+    """Events of each row in observation interval ``interval``, from the
+    rows' count streams (value ``interval * 2**32 + piece + 1``)."""
+    lo, cdf, pieces = table
+    n = np.full(len(count_keys), lo * pieces, dtype=np.int64)
+    u = np.empty(len(count_keys))
+    for piece in range(pieces):
+        z = _mix(count_keys + _steps((interval << 32) + piece + 1), u.view(np.uint64))
+        np.multiply(z >> np.uint64(12), 2.0**-52, out=u)
+        n += np.searchsorted(cdf, u, side="right")
+    return n
+
+
+class _Draws:
+    """Buffers for the marks of up to ``cells`` events of a ``V``-vertex graph.
+
+    Event ``k`` (from 0) of a row is its mark stream's value ``k + 1``,
+    ``z``.  Its mark is ``r = (z >> b) * V / 2**(64 - b)`` in ``[0, V)``,
+    with ``V < 2**b``: it rings vertex ``u = floor(r)``, and its fraction
+    ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)`` given
+    ``u``.  The product ``(z >> b) * V`` is exact in uint64.
+    """
+
+    def __init__(self, cells, V):
+        self.V, self.b = V, V.bit_length()
+        self.z = np.empty(cells, dtype=np.uint64)
+        self.u = np.empty(cells, dtype=np.int64)
+        self.hit = np.empty(cells, dtype=bool)
+
+    def marks(self, base, s, c, by_pass=False):
+        """``(z, u)``: products and vertices of events ``s .. s + c - 1`` of
+        the rows whose event 0 is stream value ``base``, of shape
+        ``(len(base), c)``, or ``(c, len(base))`` if ``by_pass``."""
+        k = len(base)
+        shape = (c, k) if by_pass else (k, c)
+        z = self.z[: k * c].reshape(shape)
+        steps = np.arange(c, dtype=np.uint64)
+        steps *= _GAMMA
+        if by_pass:
+            np.add(base + _steps(s), steps[:, None], out=z)
+        else:
+            np.add((base + _steps(s))[:, None], steps, out=z)
+        u = self.u[: k * c].reshape(shape)
+        _mix(z, u.view(np.uint64))
+        np.right_shift(z, np.uint64(self.b), out=z)
+        z *= np.uint64(self.V)
+        np.right_shift(z, np.uint64(64 - self.b), out=u.view(np.uint64))
+        return z, u
+
+    def fractions(self, z):
+        """The fractions ``q`` of the products ``z``, written over ``z``."""
+        z &= np.uint64((1 << (64 - self.b)) - 1)
+        return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
+
+    def hits(self, base, s, c, n_ev, keep, local, row0):
+        """``(rows, local[vertices], fractions)`` of those events ``s .. s + c - 1``
+        of the rows with event counts ``n_ev`` that ring a vertex ``v`` with
+        ``keep[v]``; rows are numbered from ``row0``, and each row's events
+        come in stream order."""
+        z, u = self.marks(base, s, c)
+        hit = keep.take(u, out=self.hit[: z.size].reshape(z.shape))
+        if n_ev.min() - s < c:  # some rows end inside this segment
+            hit &= np.arange(c) < (n_ev - s)[:, None]
+        f = np.flatnonzero(hit)  # row-major
+        return f // c + row0, local.take(u.reshape(-1)[f]), self.fractions(z.reshape(-1)[f])
+
+
+# ---------------------------------------------------------------------------
 # lock-step kernel
 
 
@@ -114,6 +253,74 @@ def _closed_neighbourhoods(graph: FiniteGraph) -> np.ndarray:
     neighbours padded with the phantom index V."""
     own = np.arange(graph.n_vertices, dtype=np.int64)
     return np.ascontiguousarray(np.vstack([own, graph.nbr.T]), dtype=np.int64)
+
+
+def _ball(graph: FiniteGraph, x: int, r: int) -> np.ndarray:
+    """Vertices within distance ``r`` of ``x``, in breadth-first order from ``x``."""
+    seen = np.zeros(graph.n_vertices + 1, dtype=bool)
+    seen[-1] = True  # the phantom padding
+    seen[x] = True
+    layers = [np.array([x], dtype=np.int64)]
+    for _ in range(r):
+        nxt = np.unique(graph.nbr[layers[-1]])
+        nxt = nxt[~seen[nxt]]
+        if len(nxt) == 0:
+            break
+        seen[nxt] = True
+        layers.append(nxt)
+    return np.concatenate(layers)
+
+
+def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float) -> int | None:
+    """Light-cone radius for a spin or threshold run to ``t_end``, or ``None``
+    for the full graph, where the ball is not much smaller than the graph.
+
+    A speed choice only: the output is the same for every radius.
+    """
+    r = _CONE_MARGIN + math.ceil(_CONE_SPEED * lam * t_end)
+    return r if len(_ball(graph, x, r)) * _BALL_GAIN <= graph.n_vertices else None
+
+
+class _Kernel:
+    """What the full-graph and the light-cone runs of one call share."""
+
+    def __init__(self, graph, lam, obs, x, seed, fold, dtype, initial):
+        self.cn = _closed_neighbourhoods(graph)
+        self.w, self.V = self.cn.shape
+        if not 0 <= x < self.V:
+            raise ValueError(f"vertex {x} out of range for {self.V} vertices")
+        self.x, self.seed, self.fold, self.dtype = x, seed, fold, dtype
+        self.p_inf = lam / (1.0 + lam)
+        rate = self.V * (1.0 + lam)
+        self.tables = [_poisson_table(rate * dt) if dt > 0 else None
+                       for dt in np.diff(obs, prepend=0.0)]
+        self.headroom = None
+        if fold is np.add and np.issubdtype(dtype, np.integer):
+            self.headroom = np.iinfo(dtype).max // self.w
+        self.blank, self.full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
+        self.init = np.full(self.V + 1, self.blank, dtype=dtype)
+        self.init[: self.V] = self.full if initial is None else np.asarray(initial, dtype=dtype)
+
+    def keys(self, ids):
+        return _stream_keys(self.seed, ids, _COUNTS), _stream_keys(self.seed, ids, _MARKS)
+
+    def buffers(self, rows):
+        """Work arrays for ``passes`` over up to ``rows`` rows, made once per
+        call: large temporaries freed and made again on every chunk or pass
+        let the allocator return memory and fault it back in."""
+        w, cells = self.w, max(_CHUNK_CELLS // self.w, rows)
+        return (np.empty(cells, dtype=bool), np.empty(max(_CHUNK_CELLS, w * rows), dtype=np.int64),
+                np.empty(w * rows, dtype=self.dtype), np.empty(cells, dtype=np.int64))
+
+    def passes(self, flat, cn, off, u, q, bufs):
+        """Apply the events ``(u, q)`` of shape ``(passes, len(off))`` in
+        chunks whose gather indices fit the buffers."""
+        hit_buf, *work = bufs
+        step = max(1, _CHUNK_CELLS // (self.w * len(off)))
+        for a in range(0, len(u), step):
+            ua, qa = u[a : a + step], q[a : a + step]
+            infect = np.less(qa, self.p_inf, out=hit_buf[: qa.size].reshape(qa.shape))
+            _passes(flat, cn, off, ua, qa, infect, self.fold, self.blank, self.headroom, work)
 
 
 def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, initial=None):
@@ -129,52 +336,62 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     output.  Integer sums are guarded: every stored value stays at or
     below ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices,
     so no sum can wrap, and a larger result raises ``RuntimeError``.
+
+    The monotone folds run on a light cone first (:func:`_cone`) and
+    rerun on the full graph only the rows it leaves open.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"need finite lam >= 0, got lam={lam}")
+    if n_replicas < 1:
+        raise ValueError(f"need n_replicas >= 1, got n_replicas={n_replicas}")
     require_materialized(graph)
-    cn = _closed_neighbourhoods(graph)
-    w, V = cn.shape
-    if not 0 <= observe_vertex < V:
-        raise ValueError(f"vertex {observe_vertex} out of range for {V} vertices")
+    kern = _Kernel(graph, lam, obs, observe_vertex, seed, fold, dtype, initial)
+    out = np.full((len(obs), n_replicas), kern.blank, dtype=dtype)
+    rows = np.arange(n_replicas)
+    if fold is not np.add:
+        r = _radius(graph, observe_vertex, lam, obs[-1])
+        if r is not None:
+            rows = _cone(kern, _ball(graph, observe_vertex, r), rows, out)
+    _full(kern, rows, out)
+    return out
+
+
+def _full(kern, rows, out):
+    """Run replicas ``rows`` on the full graph into ``out``'s columns ``rows``."""
+    if len(rows) == 0:
+        return
+    cn, w, V, blank = kern.cn, kern.w, kern.V, kern.blank
     stride = V + 1
-    rate, p_inf = V * (1.0 + lam), lam / (1.0 + lam)
-    headroom = None
-    if fold is np.add and np.issubdtype(dtype, np.integer):
-        headroom = np.iinfo(dtype).max // w
-    blank, full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
-    out = np.full((len(obs), n_replicas), blank, dtype=dtype)
-    bs = _block_size(n_replicas, V)
-    # Chunk work arrays, made once: large temporaries freed and made again on
-    # every chunk or pass let the allocator return memory and fault it back in.
-    rows = min(bs, n_replicas)
-    n_draw = max(_CHUNK_CELLS // w, rows)
-    work_arrays = (
-        np.empty(n_draw), np.empty(n_draw, dtype=np.int64), np.empty(n_draw, dtype=bool),
-        np.empty(max(_CHUNK_CELLS, w * rows), dtype=np.int64), np.empty(w * rows, dtype=dtype),
-        np.empty(n_draw, dtype=np.int64),
-    )
-    for blk, lo in enumerate(range(0, n_replicas, bs)):
-        rng = _block_rng(seed, blk)
-        state = np.full((min(bs, n_replicas - lo), stride), blank, dtype=dtype)
-        state[:, :V] = full if initial is None else np.asarray(initial, dtype=dtype)
+    bs = _block_size(len(rows), V)
+    n_rows = min(bs, len(rows))
+    n_draw = max(_CHUNK_CELLS // w, n_rows)
+    draw = _Draws(n_draw, V)
+    bufs = kern.buffers(n_rows)
+    state_buf = np.empty((n_rows, stride), dtype=kern.dtype)  # one block's state at a time
+    for lo in range(0, len(rows), bs):
+        ids = rows[lo : lo + bs]
+        count_keys, base = kern.keys(ids)
+        base += _GAMMA  # from here on, each row's next stream value
+        state = state_buf[: len(ids)]
+        state[:] = kern.init
         flat = state.reshape(-1)
         off = np.flatnonzero(_live(state, blank)) * stride  # live rows, as offsets
-        prev_t, work = 0.0, 0
-        for j, t_obs in enumerate(obs):
+        base = base[off // stride]
+        work = 0
+        for j, table in enumerate(kern.tables):
             if len(off) == 0:
                 break
-            if t_obs > prev_t:
-                n_ev = rng.poisson(rate * (t_obs - prev_t), size=len(off))
+            if table is not None:
+                n_ev = _event_counts(count_keys[off // stride], j, table)
                 # sorted by event count, the rows still active at pass s are a prefix
                 order = np.argsort(-n_ev, kind="stable")
-                off, neg = off[order], -n_ev[order]
+                off, base, neg = off[order], base[order], -n_ev[order]
                 s = 0
                 while len(off) and (k := int(np.searchsorted(neg, -s))):
                     # passes until the prefix shrinks, within the index buffer
                     c = int(min(max(1, _CHUNK_CELLS // (w * k)), -neg[k - 1] - s))
-                    _passes(flat, cn, off[:k], c, rng, p_inf, fold, blank, headroom,
-                            work_arrays)
+                    z, u = draw.marks(base[:k], s, c, by_pass=True)
+                    kern.passes(flat, cn, off[:k], u, draw.fractions(z), bufs)
                     s += c
                     work += c * k
                     # retire blank rows: a scan of the block once per as many
@@ -182,10 +399,106 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
                     if work >= state.size:
                         work = 0
                         alive = _live(state, blank)[off // stride]
-                        off, neg = off[alive], neg[alive]
-            prev_t = t_obs
-            out[j, lo + off // stride] = flat[off + observe_vertex]
-    return out
+                        off, base, neg = off[alive], base[alive], neg[alive]
+                base += _steps(-neg)
+            out[j, ids[off // stride]] = flat[off + kern.x]
+
+
+def _cone(kern, ball, rows, out):
+    """Run replicas ``rows`` on the ball, twice; return the rows left open.
+
+    Each row reads its whole event stream but folds only the events at
+    ball vertices, into two states: cells outside the ball held at the
+    blank value, and at the full value.  The folds are monotone, so the
+    two bracket the full-graph value at every ball cell (Propp & Wilson,
+    *Random Struct. Alg.* 9, 1996).  Where they agree at the observed
+    vertex at every observation time, they equal it, bit for bit, and go
+    to ``out``; the rows where they differ are returned.
+    """
+    V, blank = kern.V, kern.blank
+    nb = len(ball)
+    outside, phantom = nb, nb + 1  # one cell held outside, one blank
+    stride = nb + 2
+    loc = np.full(V + 1, outside, dtype=np.int64)
+    loc[ball] = np.arange(nb)
+    loc[V] = phantom
+    # the phantom's closed neighbourhood is itself: padded events fold nothing
+    cn = np.full((kern.w, stride), phantom, dtype=np.int64)
+    cn[:, :nb] = loc[kern.cn[:, ball]]
+    in_ball = np.zeros(V, dtype=bool)
+    in_ball[ball] = True
+    init = np.full((2, stride), blank, dtype=kern.dtype)  # outside blank, outside full
+    init[:, :nb] = kern.init[ball]
+    init[1, outside] = kern.full
+    # A block's rows fold one segment of their streams at a time, with about
+    # _BALL_PASSES ball events a row; a group of its rows draws a segment at
+    # once.  The padded events of both bounds fill about _CHUNK_CELLS.
+    seg = min(_DRAW_CELLS, math.ceil(_BALL_PASSES * V / nb))
+    group = max(1, _DRAW_CELLS // seg)
+    bs = max(group, min(len(rows), _CHUNK_CELLS // (4 * _BALL_PASSES)))
+    draw = _Draws(_DRAW_CELLS, V)
+    bufs = kern.buffers(2 * min(bs, len(rows)))
+    # A segment's ball events and padded passes go to arrays made once, of at
+    # least 1 MiB, which the allocator maps apart from the heap: temporaries
+    # made on every segment fragmented the heap, and the peak memory of later
+    # calls grew.  Larger segments get new arrays (_view).
+    cap = max(2 * _BALL_PASSES * min(bs, len(rows)), 1 << 17)
+    found = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64), np.empty(cap)
+    rank, ranks = np.empty(cap, dtype=np.int64), np.arange(cap)
+    padded = np.empty(3 * cap, dtype=np.int64), np.empty(3 * cap)
+    state_buf = np.empty((min(bs, len(rows)), 2, stride), dtype=kern.dtype)
+    open_rows = []
+    for lo in range(0, len(rows), bs):
+        ids = rows[lo : lo + bs]
+        k = len(ids)
+        count_keys, base = kern.keys(ids)
+        base += _GAMMA
+        state = state_buf[:k]  # rows 2i and 2i + 1 bracket replica i
+        state[:] = init
+        flat = state.reshape(-1)
+        off = np.arange(2 * k) * stride
+        agree = np.ones(k, dtype=bool)
+        for j, table in enumerate(kern.tables):
+            if table is not None:
+                n_ev = _event_counts(count_keys, j, table)
+                for s in range(0, int(n_ev.max()), seg):
+                    c = int(min(seg, n_ev.max() - s))
+                    parts = [draw.hits(base[g : g + group], s, c, n_ev[g : g + group],
+                                       in_ball, loc, g) for g in range(0, k, group)]
+                    i, u, q = (_into(buf, a) for buf, a in zip(found, zip(*parts)))
+                    n = len(i)
+                    if n == 0:
+                        continue
+                    # pass e applies each row's e-th ball event; shorter rows pad
+                    # with heal events at the phantom
+                    per_row = np.bincount(i, minlength=k)
+                    m = int(per_row.max())
+                    e = (np.cumsum(per_row) - per_row).take(i, out=_view(rank, n))
+                    np.subtract(_view(ranks, n), e, out=e)
+                    pu = _view(padded[0], (m, k, 2))  # both bounds
+                    pq = _view(padded[1], (m, k, 2))
+                    pu.fill(phantom)
+                    pq.fill(1.0)
+                    pu[e, i] = u[:, None]
+                    pq[e, i] = q[:, None]
+                    kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
+                base += _steps(n_ev)
+            low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
+            out[j, ids] = low
+            agree &= low == high
+        open_rows.append(ids[~agree])
+    return np.concatenate(open_rows)
+
+
+def _view(buf, shape):
+    """The first cells of ``buf`` in ``shape``, or a new array if it is too small."""
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    return buf[:n].reshape(shape) if n <= len(buf) else np.empty(shape, dtype=buf.dtype)
+
+
+def _into(buf, parts):
+    """``np.concatenate(parts)`` in the first cells of ``buf``, where they fit."""
+    return np.concatenate(parts, out=_view(buf, sum(len(a) for a in parts)))
 
 
 def _live(state, blank):
@@ -193,22 +506,17 @@ def _live(state, blank):
     return state.min(axis=1) < blank if blank else state.any(axis=1)
 
 
-def _passes(flat, cn, off, c, rng, p_inf, fold, blank, headroom, work_arrays):
-    """Run ``c`` passes; each applies one event to every row ``i``, at ``flat[off[i]:]``.
+def _passes(flat, cn, off, u, q, infect, fold, blank, headroom, work_arrays):
+    """Apply event ``p`` of column ``i`` of ``u``, ``q`` and ``infect`` (each
+    ``(passes, rows)``) to the row at ``flat[off[i]:]``, pass by pass.
 
-    A uniform ``r`` marks an event: vertex ``floor(r * V)``, infect when
-    the fractional part ``q`` is below ``p_inf``.  The threshold fold
-    also reads ``q`` as the event's thinning mark.
+    An event rings vertex ``u``, infects when ``infect`` (its mark ``q``
+    below ``p_inf``) and heals otherwise; the threshold fold also reads
+    ``q`` as the event's thinning mark.
     """
     w, V = cn.shape
-    k = len(off)
-    r_buf, u_buf, hit_buf, idx_buf, val_buf, col_buf = work_arrays
-    r = rng.random(out=r_buf[: c * k].reshape(c, k))
-    r *= V
-    u = u_buf[: c * k].reshape(c, k)
-    np.copyto(u, r, casting="unsafe")
-    r -= u
-    infect = np.less(r, p_inf, out=hit_buf[: c * k].reshape(c, k))
+    c, k = u.shape
+    idx_buf, val_buf, col_buf = work_arrays
     threshold = fold is np.minimum
     if k < _SPLIT_ROWS:
         # fold every row's neighbourhood, then blank the heal rows
@@ -224,7 +532,7 @@ def _passes(flat, cn, off, c, rng, p_inf, fold, blank, headroom, work_arrays):
             g = gather[p]
             flat.take(g, out=vals, mode="clip")
             if threshold:
-                _threshold_fold(vals, r[p], new)
+                _threshold_fold(vals, q[p], new)
                 np.copyto(new, blank, where=~infect[p])
             else:
                 fold.reduce(vals, axis=0, out=new)
@@ -241,7 +549,7 @@ def _passes(flat, cn, off, c, rng, p_inf, fold, blank, headroom, work_arrays):
             g += base
             vals = flat.take(g, out=val_buf[: g.size].reshape(g.shape), mode="clip")
             if threshold:
-                new = _threshold_fold(vals, r[p].take(ii), np.empty(len(ii)))
+                new = _threshold_fold(vals, q[p].take(ii), np.empty(len(ii)))
             else:
                 new = fold.reduce(vals, axis=0)
                 _guard(new, headroom)

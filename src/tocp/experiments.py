@@ -103,6 +103,8 @@ def duality_check(
     """
     if not 0 <= x < graph.n_vertices:
         raise ValueError(f"vertex {x} out of range for {graph.n_vertices} vertices")
+    if replicas < 1:
+        raise ValueError(f"need replicas >= 1, got replicas={replicas}")
     s_eta = _subseed(seed, 1)
     s_dual = _subseed(seed, 2)
     eta_vals = engines.spin_replicas(graph, lam, [t], x, replicas, s_eta)[0]

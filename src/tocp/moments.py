@@ -146,8 +146,8 @@ def build_q(d: int, lam: float, R: int) -> TruncatedQ:
     pair count on every distance-2 target (1 for doubled steps, 2 for
     mixed-axis ones), which is why ``R >= 2`` is required.
     """
-    if d < 1 or lam <= 0:
-        raise ValueError("need d >= 1 and lam > 0")
+    if d < 1 or not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"need d >= 1 and finite lam > 0, got d={d}, lam={lam}")
     if R < 2:
         raise ValueError("R must be >= 2 (row 0 reaches distance-2 targets)")
     side = 2 * R + 1

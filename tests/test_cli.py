@@ -420,3 +420,27 @@ def test_engine_failure_exit_code(capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--d", "2", "--lambda", "nan", "--radius", "2", "--times", "1"],
+    ["moments", "--d", "2", "--lambda", "inf", "--radius", "2", "--times", "1"],
+    ["qcheck", "--d", "2", "--lambda", "inf", "--radius", "2"],
+    ["qcheck", "--d", "2", "--lambda", "nan", "--radius", "2"],
+])
+def test_moment_commands_reject_non_finite_rate(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need d >= 1 and finite lam > 0")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+@pytest.mark.parametrize("cmd", [["duality"], ["simulate", "--per-replica"]])
+def test_replica_count_below_one_exit_code(capsys, cmd, replicas):
+    argv = [*cmd, "--graph", "torus:d=1,L=8", "--lambda", "0.5", "--t", "1.0",
+            "--replicas", replicas]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need ") and f"replicas={replicas}" in captured.err
+    assert captured.out == ""

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tocp import engines
-from tocp.clocks import build_schedule
+from tocp.clocks import _stream_keys, build_schedule
 from tocp.experiments import branching_exact
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_spin, run
@@ -47,10 +48,10 @@ def test_spin_pure_death_matches_poisson_survival(monkeypatch):
     passes = []
     kernel_passes = engines._passes
 
-    def counted(flat, cn, off, n_passes, *args):
-        passes.append(n_passes)
+    def counted(flat, cn, off, u, *args):
+        passes.append(len(u))
         assert sum(passes) < limit, "passes ran on after every replica died"
-        return kernel_passes(flat, cn, off, n_passes, *args)
+        return kernel_passes(flat, cn, off, u, *args)
 
     monkeypatch.setattr(engines, "_passes", counted)
     out = engines.spin_replicas(g, 0.0, [1.0, 60.0, 1e7], 0, n, seed=2)
@@ -413,3 +414,160 @@ def test_lockstep_engines_reject_vertex_outside_graph(engine, vertex):
 def test_lockstep_engines_reject_non_finite_times(engine, times):
     with pytest.raises(ValueError, match="observation times must be finite"):
         LOCKSTEP[engine](build_torus(1, 8), 0.5, times, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-replica streams and the light cone
+
+
+def _spin_or_threshold(engine, graph, x, n, seed=5):
+    lam, obs = 0.6, [0.0, 0.4, 1.0, 1.0, 2.5]
+    if engine == "spin":
+        initial = (np.arange(graph.n_vertices) % 3 != 1).astype(np.uint8)
+        return engines.spin_replicas(graph, lam, obs, x, n, seed, initial=initial)
+    return engines.threshold_replicas(graph, lam, obs, x, n, seed)
+
+
+SMALL_GRAPHS = {"tree(2,4)": (build_tree(2, 4), 5), "tree(3,5)": (build_tree(3, 5), 14),
+                "torus(2,6)": (build_torus(2, 6), 8)}
+
+
+@pytest.mark.parametrize("engine", ["spin", "threshold"])
+@pytest.mark.parametrize("name", list(SMALL_GRAPHS))
+def test_lockstep_output_does_not_depend_on_blocks_or_radius(monkeypatch, name, engine):
+    graph, x = SMALL_GRAPHS[name]
+    n = 600
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    want = _spin_or_threshold(engine, graph, x, n)
+    if engine == "spin":
+        assert want[-1].any() and not want[-1].all()
+    settings = [
+        {"_radius": lambda *args: 1},  # many rows left open and rerun
+        {"_radius": lambda *args: 2, "_DRAW_CELLS": 500, "_BALL_PASSES": 1},
+        {"_radius": lambda *args: 3, "_BLOCK_CELLS": 300 * (graph.n_vertices + 1),
+         "_SPLIT_ROWS": 1, "_CHUNK_CELLS": 4096},
+        {"_radius": lambda *args: None, "_BLOCK_CELLS": 1, "_SPLIT_ROWS": 10**6},
+    ]
+    for setting in settings:
+        for attr, value in setting.items():
+            monkeypatch.setattr(engines, attr, value)
+        assert np.array_equal(_spin_or_threshold(engine, graph, x, n), want), setting
+
+
+@pytest.mark.parametrize("engine", ["spin", "threshold"])
+@pytest.mark.parametrize("name", list(SMALL_GRAPHS))
+def test_lockstep_replica_does_not_depend_on_replica_count(name, engine):
+    graph, x = SMALL_GRAPHS[name]
+    few = _spin_or_threshold(engine, graph, x, 60)
+    many = _spin_or_threshold(engine, graph, x, 600)
+    assert np.array_equal(many[:, :60], few)
+    assert np.array_equal(_spin_or_threshold(engine, graph, x, 1), few[:, :1])
+    # a replica rerun alone on the full graph, as the light cone reruns open rows
+    fold, dtype = (np.maximum, np.uint8) if engine == "spin" else (np.minimum, np.float64)
+    initial = (np.arange(graph.n_vertices) % 3 != 1) if engine == "spin" else None
+    obs = np.array([0.0, 0.4, 1.0, 1.0, 2.5])
+    kern = engines._Kernel(graph, 0.6, obs, x, 5, fold, dtype, initial)
+    for i in (0, 17, 59):
+        out = np.zeros((len(obs), 60), dtype=dtype)
+        engines._full(kern, np.array([i]), out)
+        assert np.array_equal(out[:, i], few[:, i])
+
+
+def test_counts_do_not_depend_on_blocks_or_replica_count(monkeypatch):
+    g = build_torus(2, 6)
+    obs = [0.5, 1.5]
+    xi = engines.counts_replicas(g, 0.4, obs, 3, 600, seed=6)
+    monkeypatch.setattr(engines, "_BLOCK_CELLS", 1)  # blocks of 256 rows
+    monkeypatch.setattr(engines, "_SPLIT_ROWS", 1)
+    assert np.array_equal(engines.counts_replicas(g, 0.4, obs, 3, 600, seed=6), xi)
+    assert np.array_equal(engines.counts_replicas(g, 0.4, obs, 3, 30, seed=6), xi[:, :30])
+
+
+@pytest.mark.parametrize("mu", [0.3, 4.0, 250.0, 3.5e6])
+def test_event_counts_are_poisson(mu):
+    # 3.5e6 is drawn as the sum of four table pieces
+    n = 40_000
+    keys = _stream_keys(11, np.arange(n), 0)
+    counts = engines._event_counts(keys, 2, engines._poisson_table(mu))
+    assert counts.dtype == np.int64 and (counts >= 0).all()
+    se = math.sqrt(mu / n)
+    assert abs(counts.mean() - mu) < 4 * se
+    assert abs(counts.var() / mu - 1.0) < 4 * math.sqrt(2.0 / n)
+    if mu < 10:
+        # each small count's frequency against the exact pmf
+        for k in range(4):
+            p = math.exp(-mu) * mu**k / math.factorial(k)
+            assert abs((counts == k).mean() - p) < 4 * math.sqrt(p * (1 - p) / n) + 1e-12
+
+
+def test_light_cone_folds_a_small_share_of_the_events(monkeypatch):
+    # the benchmark's forward tree case: about 1/25 of the full graph's
+    # row-events are folded, with both bounds counted
+    g, lam, t, n = build_tree(3, 8), 0.4, 3.0, 300
+    folded, rerun = [], []
+    kernel_passes, kernel_full = engines._passes, engines._full
+
+    def passes(flat, cn, off, u, *args):
+        folded.append(u.size)
+        return kernel_passes(flat, cn, off, u, *args)
+
+    def full(kern, rows, out):
+        rerun.append(len(rows))
+        return kernel_full(kern, rows, out)
+
+    monkeypatch.setattr(engines, "_passes", passes)
+    monkeypatch.setattr(engines, "_full", full)
+    assert engines._radius(g, 0, lam, t) == 4
+    out = engines.spin_replicas(g, lam, [t], 0, n, seed=7)
+    assert sum(folded) < n * g.n_vertices * (1 + lam) * t / 10
+    assert rerun == [0] and 0.1 < out.mean() < 0.4
+    # where rows die early and the ball is not much smaller, the full graph runs
+    torus = build_torus(2, 32)
+    assert engines._radius(torus, 0, 0.3, 10.0) is None
+    monkeypatch.setattr(engines, "_cone", None)  # a light-cone run would raise TypeError
+    engines.spin_replicas(torus, 0.3, [10.0], 0, 20, seed=7)
+
+
+def test_light_cone_runs_equal_the_full_graph_counts():
+    # on the benchmark's tree the spin and threshold runs take the light
+    # cone and the counting run the full graph: the couplings still hold
+    # replica by replica
+    g, lam, obs, n = build_tree(3, 8), 0.4, [1.0, 3.0], 150
+    assert engines._radius(g, 0, lam, obs[-1]) is not None
+    spin = engines.spin_replicas(g, lam, obs, 0, n, seed=9)
+    assert np.array_equal(spin, (engines.counts_replicas(g, lam, obs, 0, n, seed=9) > 0))
+    levels = engines.threshold_replicas(g, lam, obs, 0, n, seed=9)
+    assert np.array_equal((levels < lam / (1.0 + lam)).astype(np.uint8), spin)
+    assert spin[-1].any() and not spin[-1].all()
+
+
+@pytest.mark.parametrize("radius", [4, None])
+def test_stream_and_ball_buffers_are_bounded(monkeypatch, radius):
+    # 300 replicas of about 21k and 41k events: the events of all rows at
+    # once would take 99 MB per uint64 array at t = 3
+    g = build_tree(3, 8)
+    monkeypatch.setattr(engines, "_radius", lambda *args: radius)
+    peaks = []
+    for t in (1.5, 3.0):
+        tracemalloc.start()
+        try:
+            engines.spin_replicas(g, 0.4, [t], 0, 300, seed=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a block's state plus buffers of a fixed size, whatever the event count
+    assert peaks[1] < 1.05 * peaks[0] and peaks[1] < 32e6
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("engine", list(LOCKSTEP))
+def test_lockstep_engines_reject_replica_count_below_one(engine, n):
+    calls = {
+        "spin": lambda: engines.spin_replicas(build_torus(1, 8), 0.5, [1.0], 0, n, seed=1),
+        "counts": lambda: engines.counts_replicas(build_torus(1, 8), 0.5, [1.0], 0, n, seed=1),
+        "reals": lambda: engines.reals_replicas(build_torus(1, 8), 0.5, 1, [1.0], 0, n, seed=1),
+        "threshold": lambda: engines.threshold_replicas(build_torus(1, 8), 0.5, [1.0], 0, n,
+                                                        seed=1),
+    }
+    with pytest.raises(ValueError, match=f"n_replicas={n}"):
+        calls[engine]()
