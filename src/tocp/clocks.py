@@ -84,14 +84,18 @@ def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _stream_keys(seed: int, ids: np.ndarray, kind: int) -> np.ndarray:
-    """Keys of the streams ``(seed, ids[i], kind)``, distinct within a seed.
+def _stream_keys(seed: int, ids: np.ndarray, kind: int, domain: int = 0) -> np.ndarray:
+    """Keys of the streams ``(seed, ids[i], kind)`` of ``domain``, distinct
+    within a seed and domain.
 
     Value ``k >= 1`` of a stream with key ``key`` is ``_mix(key + k * _GAMMA)``.
+    The clocks here use domain 0; other users of the key space take their
+    own domain, so that they never read a clock's stream of the same seed.
     """
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    base = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
+    offset = np.array([domain + 1], dtype=np.uint64) * _GAMMA
+    base = _mix(np.array([seed], dtype=np.uint64) + offset)
     return _mix(base + (2 * np.asarray(ids).astype(np.uint64) + np.uint64(kind + 1)) * _GAMMA)
 
 

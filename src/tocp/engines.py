@@ -27,20 +27,20 @@ left.
 
 Determinism: every replica reads its own two counter-based streams
 (Salmon et al., *Parallel random numbers: as easy as 1, 2, 3*, SC'11),
-as the clocks of :mod:`tocp.clocks` do.  Value ``k`` of stream
-``(seed, i, kind)`` is a splitmix64 mix of the three: the count stream
-of replica ``i`` gives its number of events in each observation
-interval (Poisson, by inversion of a table of the CDF), and its mark
-stream gives event ``k``'s vertex and infect mark.  A replica's output
-therefore depends on ``(graph, lam, obs, seed, i)`` only, not on its
-block, on the number of replicas, or on when other replicas retire:
-replica ``i`` of a 100-replica run is replica ``i`` of a 10^5-replica
-run, and it can be rerun alone.  Seeds lie in ``[0, 2**64)``.  The
-draws do not depend on the rule, so the engines share their random
-numbers: with equal arguments ``spin_replicas`` equals
-``counts_replicas > 0`` replica by replica, and ``reals_replicas``
-equals the counting values times ``exp((1 - 2*lam*d) * t)`` up to
-float64 rounding.
+as the clocks of :mod:`tocp.clocks` do, in a key domain apart from
+theirs.  Value ``k`` of stream ``(seed, i, kind)`` is a splitmix64 mix
+of the three: the count stream of replica ``i`` gives its number of
+events in each observation interval (Poisson, by inversion of a table
+of the CDF), and its mark stream gives event ``k``'s vertex and infect
+mark.  A replica's output therefore depends on ``(graph, lam, obs,
+seed, i)`` only, not on its block, on the number of replicas, or on
+when other replicas retire: replica ``i`` of a 100-replica run is
+replica ``i`` of a 10^5-replica run, and it can be rerun alone.  Seeds
+lie in ``[0, 2**64)``.  The draws do not depend on the rule, so the
+engines share their random numbers: with equal arguments
+``spin_replicas`` equals ``counts_replicas > 0`` replica by replica,
+and ``reals_replicas`` equals the counting values times
+``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
 
 Light cone: the spin and threshold folds are monotone, so a run on the
 ball ``B_r(x)`` around the observed vertex, from the same streams, with
@@ -53,7 +53,8 @@ Where the two bounds agree at ``x`` at every observation time they are
 the value, bit for bit; only the replicas where they differ are rerun
 on the full graph.  The radius is a speed choice (:func:`_radius`: the
 distance a chain of infect events covers by the last observation time,
-with the full graph where the ball is not much smaller), not a
+with the full graph where the ball is not much smaller or where the
+horizon is long, since full-graph rows stop once absorbed), not a
 parameter: the output is the same for every radius.
 
 The threshold fold runs every rate up to ``lam_max`` at once.  The spin
@@ -112,6 +113,11 @@ _SPLIT_ROWS = 1024
 _CONE_SPEED = 2.0
 _CONE_MARGIN = 1
 _BALL_GAIN = 32
+# ... and to horizons of at most _CONE_HORIZON * (1 + ln m) from m non-blank
+# cells.  Near that horizon (t = 40), with lam <= 0.2 and r = 2, a light-cone
+# run of 300 rows took 0.10-0.50 of the full graph's time on tree(3, 8) and
+# torus(2, 64).
+_CONE_HORIZON = 4.0
 # Ball events a row folds per segment of its stream, on average: the passes
 # over a segment's ragged per-row lists are padded to the longest one.
 _BALL_PASSES = 64
@@ -126,8 +132,10 @@ _POISSON_PIECE = 1 << 20
 _BRANCH_CELLS = 1 << 16
 # More events than this in one branching_replicas call raise RuntimeError.
 _MAX_BRANCH_EVENTS = 50_000_000
-# The two counter-based streams of each lock-step replica.
+# The two counter-based streams of each lock-step replica, in a key domain
+# of their own: the clocks of tocp.clocks use domain 0.
 _COUNTS, _MARKS = 0, 1
+_DOMAIN = 1
 
 
 def _block_size(n_replicas: int, n_vertices: int) -> int:
@@ -271,12 +279,19 @@ def _ball(graph: FiniteGraph, x: int, r: int) -> np.ndarray:
     return np.concatenate(layers)
 
 
-def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float) -> int | None:
-    """Light-cone radius for a spin or threshold run to ``t_end``, or ``None``
-    for the full graph, where the ball is not much smaller than the graph.
+def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float, m: int) -> int | None:
+    """Light-cone radius for a spin or threshold run to ``t_end`` from ``m``
+    non-blank cells, or ``None`` for the full graph.
 
-    A speed choice only: the output is the same for every radius.
+    The full graph runs where the ball is not much smaller than the graph,
+    and at long horizons: a light-cone row reads its whole stream, but a
+    full-graph row stops once all its cells are blank, which from ``m``
+    cells takes at least the last of ``m`` unit-rate heals, about
+    ``ln m`` time units.  A speed choice only: the output is the same for
+    every radius.
     """
+    if m == 0 or t_end > _CONE_HORIZON * (1.0 + math.log(m)):
+        return None
     r = _CONE_MARGIN + math.ceil(_CONE_SPEED * lam * t_end)
     return r if len(_ball(graph, x, r)) * _BALL_GAIN <= graph.n_vertices else None
 
@@ -302,7 +317,8 @@ class _Kernel:
         self.init[: self.V] = self.full if initial is None else np.asarray(initial, dtype=dtype)
 
     def keys(self, ids):
-        return _stream_keys(self.seed, ids, _COUNTS), _stream_keys(self.seed, ids, _MARKS)
+        return (_stream_keys(self.seed, ids, _COUNTS, _DOMAIN),
+                _stream_keys(self.seed, ids, _MARKS, _DOMAIN))
 
     def buffers(self, rows):
         """Work arrays for ``passes`` over up to ``rows`` rows, made once per
@@ -349,7 +365,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     out = np.full((len(obs), n_replicas), kern.blank, dtype=dtype)
     rows = np.arange(n_replicas)
     if fold is not np.add:
-        r = _radius(graph, observe_vertex, lam, obs[-1])
+        m = int(np.count_nonzero(kern.init[: kern.V] != kern.blank))
+        r = _radius(graph, observe_vertex, lam, obs[-1], m)
         if r is not None:
             rows = _cone(kern, _ball(graph, observe_vertex, r), rows, out)
     _full(kern, rows, out)
@@ -438,14 +455,6 @@ def _cone(kern, ball, rows, out):
     bs = max(group, min(len(rows), _CHUNK_CELLS // (4 * _BALL_PASSES)))
     draw = _Draws(_DRAW_CELLS, V)
     bufs = kern.buffers(2 * min(bs, len(rows)))
-    # A segment's ball events and padded passes go to arrays made once, of at
-    # least 1 MiB, which the allocator maps apart from the heap: temporaries
-    # made on every segment fragmented the heap, and the peak memory of later
-    # calls grew.  Larger segments get new arrays (_view).
-    cap = max(2 * _BALL_PASSES * min(bs, len(rows)), 1 << 17)
-    found = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64), np.empty(cap)
-    rank, ranks = np.empty(cap, dtype=np.int64), np.arange(cap)
-    padded = np.empty(3 * cap, dtype=np.int64), np.empty(3 * cap)
     state_buf = np.empty((min(bs, len(rows)), 2, stride), dtype=kern.dtype)
     open_rows = []
     for lo in range(0, len(rows), bs):
@@ -465,20 +474,16 @@ def _cone(kern, ball, rows, out):
                     c = int(min(seg, n_ev.max() - s))
                     parts = [draw.hits(base[g : g + group], s, c, n_ev[g : g + group],
                                        in_ball, loc, g) for g in range(0, k, group)]
-                    i, u, q = (_into(buf, a) for buf, a in zip(found, zip(*parts)))
-                    n = len(i)
-                    if n == 0:
+                    i, u, q = (np.concatenate(a) for a in zip(*parts))
+                    if len(i) == 0:
                         continue
                     # pass e applies each row's e-th ball event; shorter rows pad
                     # with heal events at the phantom
                     per_row = np.bincount(i, minlength=k)
+                    e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
                     m = int(per_row.max())
-                    e = (np.cumsum(per_row) - per_row).take(i, out=_view(rank, n))
-                    np.subtract(_view(ranks, n), e, out=e)
-                    pu = _view(padded[0], (m, k, 2))  # both bounds
-                    pq = _view(padded[1], (m, k, 2))
-                    pu.fill(phantom)
-                    pq.fill(1.0)
+                    pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
+                    pq = np.ones((m, k, 2))
                     pu[e, i] = u[:, None]
                     pq[e, i] = q[:, None]
                     kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
@@ -488,17 +493,6 @@ def _cone(kern, ball, rows, out):
             agree &= low == high
         open_rows.append(ids[~agree])
     return np.concatenate(open_rows)
-
-
-def _view(buf, shape):
-    """The first cells of ``buf`` in ``shape``, or a new array if it is too small."""
-    n = math.prod(shape) if isinstance(shape, tuple) else shape
-    return buf[:n].reshape(shape) if n <= len(buf) else np.empty(shape, dtype=buf.dtype)
-
-
-def _into(buf, parts):
-    """``np.concatenate(parts)`` in the first cells of ``buf``, where they fit."""
-    return np.concatenate(parts, out=_view(buf, sum(len(a) for a in parts)))
 
 
 def _live(state, blank):

@@ -39,12 +39,20 @@ def test_spin_initial_vector():
 
 
 def test_spin_pure_death_matches_poisson_survival(monkeypatch):
-    g = build_torus(1, 10)
-    n = 40_000
+    _pure_death(monkeypatch, build_torus(1, 10), 40_000, seed=2)
+
+
+def test_spin_pure_death_on_tree_stops_passes(monkeypatch):
+    # a ball of radius 1 around the root would be small enough for a light
+    # cone, whose rows read their whole streams to t = 1e7
+    _pure_death(monkeypatch, build_tree(3, 8), 100, seed=2)
+
+
+def _pure_death(monkeypatch, g, n, seed):
     # Every replica dies long before t = 60, so the late observations read
     # 0, and the kernel stops once none is left: far fewer passes than the
-    # second interval alone holds (Poisson with mean 10 * 59 per replica).
-    limit = 10 * 59
+    # second interval alone holds (Poisson with mean V * 59 per replica).
+    limit = g.n_vertices * 59
     passes = []
     kernel_passes = engines._passes
 
@@ -54,7 +62,7 @@ def test_spin_pure_death_matches_poisson_survival(monkeypatch):
         return kernel_passes(flat, cn, off, u, *args)
 
     monkeypatch.setattr(engines, "_passes", counted)
-    out = engines.spin_replicas(g, 0.0, [1.0, 60.0, 1e7], 0, n, seed=2)
+    out = engines.spin_replicas(g, 0.0, [1.0, 60.0, 1e7], 0, n, seed)
     assert not out[1:].any()
     p = out[0].mean()
     se = math.sqrt(p * (1 - p) / n)
@@ -483,6 +491,16 @@ def test_counts_do_not_depend_on_blocks_or_replica_count(monkeypatch):
     assert np.array_equal(engines.counts_replicas(g, 0.4, obs, 3, 30, seed=6), xi[:, :30])
 
 
+def test_replica_streams_are_not_vertex_clocks():
+    # replica i's count and mark streams are keyed apart from the heal and
+    # infect clocks of every vertex under the same seed
+    kern = engines._Kernel(build_torus(1, 8), 0.5, np.array([1.0]), 0, 3, np.maximum,
+                           np.uint8, None)
+    ids = np.arange(1000)
+    clocks = np.concatenate([_stream_keys(3, ids, kind) for kind in (0, 1)])
+    assert not np.isin(np.concatenate(kern.keys(ids)), clocks).any()
+
+
 @pytest.mark.parametrize("mu", [0.3, 4.0, 250.0, 3.5e6])
 def test_event_counts_are_poisson(mu):
     # 3.5e6 is drawn as the sum of four table pieces
@@ -517,13 +535,16 @@ def test_light_cone_folds_a_small_share_of_the_events(monkeypatch):
 
     monkeypatch.setattr(engines, "_passes", passes)
     monkeypatch.setattr(engines, "_full", full)
-    assert engines._radius(g, 0, lam, t) == 4
+    assert engines._radius(g, 0, lam, t, g.n_vertices) == 4
     out = engines.spin_replicas(g, lam, [t], 0, n, seed=7)
     assert sum(folded) < n * g.n_vertices * (1 + lam) * t / 10
     assert rerun == [0] and 0.1 < out.mean() < 0.4
     # where rows die early and the ball is not much smaller, the full graph runs
     torus = build_torus(2, 32)
-    assert engines._radius(torus, 0, 0.3, 10.0) is None
+    assert engines._radius(torus, 0, 0.3, 10.0, torus.n_vertices) is None
+    # and where full-graph rows retire long before the horizon
+    assert engines._radius(g, 0, 0.005, 200.0, g.n_vertices) is None
+    assert engines._radius(g, 0, 0.0, 1e7, g.n_vertices) is None
     monkeypatch.setattr(engines, "_cone", None)  # a light-cone run would raise TypeError
     engines.spin_replicas(torus, 0.3, [10.0], 0, 20, seed=7)
 
@@ -533,7 +554,7 @@ def test_light_cone_runs_equal_the_full_graph_counts():
     # cone and the counting run the full graph: the couplings still hold
     # replica by replica
     g, lam, obs, n = build_tree(3, 8), 0.4, [1.0, 3.0], 150
-    assert engines._radius(g, 0, lam, obs[-1]) is not None
+    assert engines._radius(g, 0, lam, obs[-1], g.n_vertices) is not None
     spin = engines.spin_replicas(g, lam, obs, 0, n, seed=9)
     assert np.array_equal(spin, (engines.counts_replicas(g, lam, obs, 0, n, seed=9) > 0))
     levels = engines.threshold_replicas(g, lam, obs, 0, n, seed=9)
