@@ -14,15 +14,15 @@ for row in bounds_report(lattice=[3, 4, 6, 8, 10], tree=[3, 5, 10]):
     up = f"{row.upper:.4f} ({row.upper_x_degree:.3f})" if row.upper is not None else row.note
     print(f"  {row.family} {row.param:2d}: lower {row.lower:.4f} ({row.lower_x_degree:.3f})  upper {up}")
 
-# survival rises with the rate; thinning-coupled runs make that exact
-# per trajectory, not just on average
+# survival rises with the rate; thinning makes that exact per trajectory,
+# not just on average: one threshold run at the top rate carries each
+# site's lowest infected level, and every lower rate reads it
 g = build_torus(1, 10)
 ind = thinned_survival_indicators(g, [0.3, 0.6, 1.2], t=4.0, replicas=60, seed=3)
 print("\nthinning-coupled survival counts by rate:", ind.sum(axis=1).tolist(),
       "(nondecreasing trajectory by trajectory)")
 
-# the lock-step scan shares its replicas across rates the same way: one
-# run at the top rate carries each site's threshold level
+# the rate scan reads such a run too, so its estimates share replicas
 rows = lambda_scan(g, [0.25, 0.5, 1.0, 2.0], t=6.0, replicas=2_000, seed=4)
 print("shared-replica scan:", [f"{lam}:{est.value:.3f}" for lam, est in rows])
 

@@ -82,9 +82,9 @@ step, the ringing member's depth (inverse CDF over the row's cumulative
 counts) and an infect/heal uniform; a block of rows draws from
 ``SeedSequence(seed, spawn_key=(block_index,))``.
 
-Agreement with the schedule-driven reference dynamics is established
-statistically in the test suite; couplings that need *shared* clocks
-always go through :class:`tocp.clocks.ClockSchedule` instead.
+Agreement with the schedule-driven reference dynamics is established in
+the test suite (exactly, for the threshold fold at every rate); couplings
+that need *shared* clocks always go through :class:`tocp.clocks.ClockSchedule`.
 """
 from __future__ import annotations
 

@@ -1,9 +1,9 @@
 """Replica orchestration and the estimators tied to the critical rate.
 
-Estimates carry binomial or empirical standard errors; every estimator
-derives replica randomness from a master seed through
-``SeedSequence(entropy=seed, spawn_key=...)`` so results are
-reproducible and independent of execution order.
+Estimates carry binomial or empirical standard errors.  Each estimator
+hands its seed to an engine as is or derives one per run through
+``SeedSequence(entropy=seed, spawn_key=...)``; engine replicas read their
+own streams, so results are reproducible and independent of execution order.
 """
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engines, walk
-from .clocks import INFECT, build_schedule
 from .graphs import FiniteGraph, LazyTree
-from .processes import run
 
 __all__ = [
     "Estimate",
@@ -74,15 +72,27 @@ def survival_probability(
 
 
 def _survival_curve(graph: FiniteGraph, lam_max: float, t: float, replicas: int, seed: int):
-    """Survivor count at the origin at time t, as a function of ``lam <= lam_max``.
+    """Per-replica infection of vertex 0 at time t from all ones, as a bool
+    array valued function of ``lam <= lam_max``.
 
     One threshold run at ``lam_max`` (:func:`engines.threshold_replicas`)
-    answers every rate, on the same replicas, so the count is
+    answers every rate on the same replicas, so each indicator is
     nondecreasing in ``lam``.
     """
-    _check_replicas(replicas)
     levels = engines.threshold_replicas(graph, lam_max, [t], 0, replicas, seed)[0]
-    return lambda lam: int(np.count_nonzero(levels < lam / (1.0 + lam_max)))
+    return lambda lam: levels < lam / (1.0 + lam_max)
+
+
+def _check_grid(lambda_grid) -> list:
+    """The grid as a list: non-empty, ascending, every rate finite and >= 0."""
+    grid = list(lambda_grid)
+    if not grid:
+        raise ValueError("lambda grid is empty")
+    if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+        raise ValueError(f"lambda grid rates must be finite and >= 0, got {grid}")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda grid must be ascending")
+    return grid
 
 
 @dataclass
@@ -196,19 +206,15 @@ def lambda_scan(
 
     Every rate reads the same replicas (one threshold run at the grid
     maximum), so the estimates are nondecreasing in the rate and their
-    differences carry less noise than independent runs would.
+    differences carry less noise than independent runs would.  The grid
+    must be non-empty and ascending, with every rate finite and >= 0.
     """
-    grid = list(lambda_grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be ascending")
-    if not grid:
-        return []
+    grid = _check_grid(lambda_grid)
+    _check_replicas(replicas)
     s = _subseed(seed, 10, len(grid) - 1)  # the top rate keeps its per-rate seed
-    survivors = _survival_curve(graph, grid[-1], t, replicas, s)
-    return [(lam, Estimate.from_indicator(survivors(lam), replicas, s)) for lam in grid]
-
-
-_THINNED_VERTEX = 0  # thinned indicators record this vertex's infection
+    infected = _survival_curve(graph, grid[-1], t, replicas, s)
+    return [(lam, Estimate.from_indicator(int(np.count_nonzero(infected(lam))), replicas, s))
+            for lam in grid]
 
 
 def thinned_survival_indicators(
@@ -216,34 +222,16 @@ def thinned_survival_indicators(
 ) -> np.ndarray:
     """Per-trajectory survival indicators coupled across rates by thinning.
 
-    One schedule per replica is drawn at the top rate of the grid; each
-    infect event carries a uniform mark and the run at rate ``lam``
-    accepts it when the mark is below ``lam / lam_max``.  Accepted event
-    sets are nested, so the returned (n_rates, replicas) indicator array
-    is nondecreasing along the rate axis, trajectory by trajectory; 1 means
-    vertex 0 is infected at time ``t`` from the all-infected start.  One
-    threshold replay per replica answers every rate of the grid.
+    One threshold run at the grid's top rate ``lam_max`` keeps an infect
+    event at rate ``lam`` iff its mark is below ``lam / (1 + lam_max)``, so
+    the returned uint8 array of shape ``(n_rates, replicas)`` is
+    nondecreasing along the rate axis, trajectory by trajectory; 1 means
+    vertex 0 is infected at time ``t`` from the all-infected start.  The
+    top row equals ``spin_replicas(graph, lam_max, [t], 0, replicas, seed)[0]``.
     """
-    grid = list(lambda_grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be ascending")
-    lam_max = grid[-1]
-    cuts = np.array([lam / lam_max if lam_max > 0 else 0.0 for lam in grid])
-    out = np.zeros((len(grid), replicas), dtype=np.uint8)
-    for rep in range(replicas):
-        rep_seed = _subseed(seed, 20, rep)
-        sched = build_schedule(graph, lam_max, t, rep_seed)
-        marks_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=rep_seed, spawn_key=(1 << 20,)))
-        )
-        infect = sched.kinds == INFECT
-        # heal events carry mark -1; the threshold rule never reads it
-        marks = np.full(sched.n_events, -1.0)
-        marks[infect] = marks_rng.random(int(infect.sum()))
-        level = run("threshold", sched, graph, [-math.inf] * graph.n_vertices, [t],
-                    marks=marks)[0][_THINNED_VERTEX]
-        out[:, rep] = level < cuts
-    return out
+    grid = _check_grid(lambda_grid)
+    infected = _survival_curve(graph, grid[-1], t, replicas, seed)
+    return np.array([infected(lam) for lam in grid], dtype=np.uint8)
 
 
 @dataclass
@@ -277,11 +265,13 @@ def critical_estimate(
     fresh replicas at each rate.  The two observables have equal
     distributions by the duality identity (verified independently in
     the test suite).  ``"auto"`` picks forward for
-    materialized graphs and dual for :class:`LazyTree`.
+    materialized graphs and dual for :class:`LazyTree`.  Either needs at
+    least 100 replicas.
     """
     lo, hi = bracket
     if not (0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi")
+    _check_replicas(replicas)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if estimator not in ("auto", "forward", "dual"):
@@ -290,10 +280,10 @@ def critical_estimate(
         estimator = "dual" if isinstance(graph, LazyTree) else "forward"
     if estimator == "forward":
         # the seed of the evaluation at hi, which the run reproduces exactly
-        survivors = _survival_curve(graph, hi, t, replicas, _subseed(seed, 30, 1))
+        infected = _survival_curve(graph, hi, t, replicas, _subseed(seed, 30, 1))
 
         def survival(lam: float, _k: int) -> float:
-            return survivors(lam) / replicas
+            return int(np.count_nonzero(infected(lam))) / replicas
     else:
         nf = graph.neighbors_fn()
 

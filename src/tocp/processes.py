@@ -13,12 +13,6 @@
 * branching set process: on an oriented tree; an infect event at a
   member replaces it by its sons (leaves at the truncation depth are
   simply removed).
-* threshold levels: the spin process at every thinned rate at once.
-  Each infect event carries a mark ``u``; the run at level ``c`` keeps
-  it iff ``u < c``.  Each site holds ``m(x)``, the smallest level at
-  which it is infected: heal sets ``inf``, an infect event sets
-  ``min(m(x), max(u, min over the neighbours of m))``, and x is infected
-  at level ``c`` iff ``m(x) < c``.
 
 All step functions mutate their state argument in place and return it;
 :func:`run` copies on observation.  State "at time t" means after all
@@ -30,7 +24,7 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf
+from math import exp
 
 import numpy as np
 
@@ -47,7 +41,6 @@ __all__ = [
     "step_zeta",
     "step_dual",
     "step_branch",
-    "step_threshold",
     "run",
     "coupled_run_eta_xi",
     "coupled_run_eta_zeta",
@@ -175,20 +168,6 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
     return sset
 
 
-def step_threshold(levels: list, event, graph: FiniteGraph) -> list:
-    """Apply one marked event ``(t, x, kind, mark)`` to per-site threshold levels."""
-    _, x, kind, mark = event
-    if kind == HEAL:
-        levels[x] = inf
-    elif levels[x] > mark:  # the new level is at least the mark
-        low = inf
-        for y in graph.adjacency_lists[x]:
-            if levels[y] < low:
-                low = levels[y]
-        levels[x] = min(levels[x], max(mark, low))
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # trajectory driver
 
@@ -209,22 +188,17 @@ _KINDS = {
     "zeta": (step_zeta, _zeta_snapshot),
     "dual": (lambda s, ev, g, lam, d: step_dual(s, ev, g), lambda s, t, lam, d: set(s)),
     "branch": (lambda s, ev, g, lam, d: step_branch(s, ev, g), lambda s, t, lam, d: set(s)),
-    "threshold": (lambda s, ev, g, lam, d: step_threshold(s, ev, g),
-                  lambda s, t, lam, d: list(s)),
 }
 
 
-def _replay(schedule: ClockSchedule, observe_times, steps, observe, marks=None) -> None:
+def _replay(schedule: ClockSchedule, observe_times, steps, observe) -> None:
     """Feed the schedule's events, in order, to every callable in ``steps``.
 
     ``observe(t)`` runs for each sorted observation time ``t`` once all
     events with time <= t are applied; later events are not replayed.
-    Events are ``(time, vertex, kind)``, with ``marks[i]`` appended to
-    event ``i`` when ``marks`` is given.
+    Events are ``(time, vertex, kind)``.
     """
-    columns = [schedule.times, schedule.vertices, schedule.kinds]
-    if marks is not None:
-        columns.append(marks)
+    columns = (schedule.times, schedule.vertices, schedule.kinds)
     obs = list(observe_times)
     lo = 0
     for t_obs, stop in zip(obs, np.searchsorted(schedule.times, obs, side="right").tolist()):
@@ -250,13 +224,12 @@ def run(
     observe_times,
     lam: float | None = None,
     d_param: int | None = None,
-    marks=None,
 ):
     """Replay a schedule through one process and snapshot at given times.
 
     Parameters
     ----------
-    kind : {"eta", "xi", "zeta", "dual", "branch", "threshold"}
+    kind : {"eta", "xi", "zeta", "dual", "branch"}
     schedule : ClockSchedule
         Drives the dynamics; deterministic replay.
     initial
@@ -266,9 +239,6 @@ def run(
         all events with time <= t.
     lam, d_param
         Required for ``kind="zeta"`` (drift rate ``1 - 2*lam*d_param``).
-    marks : array of float, optional
-        One mark per schedule event; required for ``kind="threshold"``,
-        whose state is a list of per-site levels.
 
     Returns
     -------
@@ -285,14 +255,10 @@ def run(
         raise ValueError("observation time beyond schedule horizon")
     if kind == "zeta" and (lam is None or d_param is None):
         raise ValueError("zeta needs lam and d_param")
-    if (kind == "threshold") != (marks is not None):
-        raise ValueError("marks go with kind='threshold', and only with it")
-    if marks is not None and len(marks) != schedule.n_events:
-        raise ValueError(f"need one mark per event, got {len(marks)} for {schedule.n_events}")
     rule, snapshot = _KINDS[kind]
     out = []
     _replay(schedule, obs, (lambda ev: rule(initial, ev, graph, lam, d_param),),
-            lambda t: out.append(snapshot(initial, t, lam, d_param)), marks)
+            lambda t: out.append(snapshot(initial, t, lam, d_param)))
     return out
 
 

@@ -358,9 +358,11 @@ def test_non_finite_time_exit_code(capsys, argv):
     ("nan:0.9:0.1", "grid must be a:b:step with finite a <= b and finite step > 0"),
     ("0.1:0.9:nan", "grid must be a:b:step with finite a <= b and finite step > 0"),
     ("0.1:0.9:1e-300", f"grid '0.1:0.9:1e-300' has more than {MAX_GRID_POINTS} points"),
+    # only the top rate reaches an engine; the lower ones are checked too
+    ("-0.5:0.5:0.5", "lambda grid rates must be finite and >= 0"),
 ])
 def test_scan_bad_grid_exit_code(capsys, grid, message):
-    assert_input_error(capsys, ["scan", *TORUS_8, "--lambda-grid", grid, "--t", "1"], message)
+    assert_input_error(capsys, ["scan", *TORUS_8, f"--lambda-grid={grid}", "--t", "1"], message)
 
 
 def test_grid_point_limit():

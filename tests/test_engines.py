@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tocp import engines
-from tocp.clocks import _stream_keys, build_schedule
+from tocp.clocks import _GAMMA, HEAL, INFECT, ClockSchedule, _stream_keys, build_schedule
 from tocp.experiments import branching_exact
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_spin, run
@@ -382,6 +382,68 @@ def test_threshold_interior_rate_matches_spin(graph, lam_max, lam):
     p_spin = engines.spin_replicas(graph, lam, [t], 0, n, seed=44)[0].mean()
     assert 0.05 < p_spin < 0.95
     assert two_sample_z(p_thr, n, p_spin, n) < 4
+
+
+def test_threshold_rules(monkeypatch):
+    # the threshold fold of the kernel, one event at a time on one row of a 4-cycle
+    inf = math.inf
+    cycle = build_torus(1, 4)
+    cn = engines._closed_neighbourhoods(cycle)
+    for split_rows in (engines._SPLIT_ROWS, 0):  # one gather over all rows; infect rows only
+        monkeypatch.setattr(engines, "_SPLIT_ROWS", split_rows)
+        row = np.array([inf, 0.3, inf, 0.6, inf])  # the last cell is the phantom
+
+        def apply(x, infect, q=0.9):
+            work = (np.empty(8, dtype=np.int64), np.empty(8), np.empty(8, dtype=np.int64))
+            engines._passes(row, cn, np.array([0]), np.array([[x]]), np.array([[q]]),
+                            np.array([[infect]]), np.minimum, inf, None, work)
+            assert row[-1] == inf
+            return row[:4].tolist()
+
+        assert apply(0, True, 0.5) == [0.5, 0.3, inf, 0.6]  # neighbours 1 and 3: max(0.5, 0.3)
+        assert apply(0, True, 0.1) == [0.3, 0.3, inf, 0.6]  # the neighbours bound it: 0.3
+        assert apply(0, True, 0.0)[0] == 0.3  # never raised by an infect event
+        assert apply(2, True, 0.2) == [0.3, 0.3, 0.3, 0.6]  # neighbours 1 and 3
+        assert apply(1, False) == [0.3, inf, 0.3, 0.6]
+        # level c: the spin process that keeps infect events with mark below c
+        for c, spins in ((0.25, [0, 0, 0, 0]), (0.4, [1, 0, 1, 0]), (1.0, [1, 0, 1, 1])):
+            assert [int(m < c) for m in row[:4]] == spins
+
+
+@pytest.mark.parametrize("graph,lam_max,t,cone", [
+    (build_torus(1, 12), 1.5, 3.0, False),
+    (build_tree(3, 8), 0.8, 1.5, True),
+    (build_torus(2, 6), 0.8, 2.0, False),
+], ids=["ring", "tree", "torus"])
+def test_threshold_levels_equal_thinned_spin_replays(graph, lam_max, t, cone):
+    # Replica i's events, decoded from its streams and thinned to each rate,
+    # replayed through the reference spin rule: the level indicator at every
+    # rate of the grid is the replay's value at vertex 0, bit for bit.
+    n, seed = 40, 17
+    grid = np.linspace(0.0, lam_max, 7)
+    assert (engines._radius(graph, 0, lam_max, t, graph.n_vertices) is not None) == cone
+    levels = engines.threshold_replicas(graph, lam_max, [t], 0, n, seed)[0]
+    kern = engines._Kernel(graph, lam_max, np.array([t]), 0, seed, np.minimum, np.float64, None)
+    count_keys, base = kern.keys(np.arange(n))
+    n_ev = engines._event_counts(count_keys, 0, kern.tables[0])
+    draw = engines._Draws(int(n_ev.max()), graph.n_vertices)
+    want = np.zeros((len(grid), n), dtype=bool)
+    for i in range(n):
+        # event k of a row is its mark stream's value k + 1
+        z, u = draw.marks(base[i : i + 1] + _GAMMA, 0, int(n_ev[i]))
+        q, u = draw.fractions(z)[0], u[0]
+        heal = q >= kern.p_inf
+        for r, lam in enumerate(grid):
+            keep = heal | (q < lam / (1.0 + lam_max))  # drop infect marks at or above the cut
+            m = int(keep.sum())
+            kinds = np.where(heal[keep], HEAL, INFECT).astype(np.int8)
+            sched = ClockSchedule(graph.n_vertices, lam, float(m), seed,
+                                  np.arange(1.0, m + 1.0), u[keep], kinds)
+            want[r, i] = run("eta", sched, graph, all_ones_spin(graph).tolist(), [float(m)])[0][0]
+    got = levels[None] < (grid / (1.0 + lam_max))[:, None]
+    assert np.array_equal(got, want)
+    counts = want.sum(axis=1)
+    assert counts[-1] > counts[0] and counts[-1] < n
 
 
 def test_threshold_retired_rows_read_inf():

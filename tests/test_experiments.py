@@ -12,6 +12,7 @@ from tocp.experiments import (
     critical_estimate,
     duality_check,
     lambda_scan,
+    _subseed,
     survival_probability,
     thinned_survival_indicators,
 )
@@ -167,6 +168,43 @@ def test_thinned_indicators_exactly_monotone():
     ind = thinned_survival_indicators(g, [0.2, 0.5, 0.9], 3.0, 40, seed=11)
     assert ind.shape == (3, 40)
     assert (np.diff(ind.astype(int), axis=0) >= 0).all()
+
+
+def test_thinned_indicators_top_rate_is_spin():
+    # the top rate is the unthinned run, and the scan counts the same curve
+    g, grid, t, seed = build_torus(1, 12), [0.0, 0.4, 0.4, 0.9, 1.5], 3.0, 21
+    ind = thinned_survival_indicators(g, grid, t, 300, seed)
+    assert ind.dtype == np.uint8 and ind.shape == (5, 300)
+    assert np.array_equal(ind[-1], engines.spin_replicas(g, 1.5, [t], 0, 300, seed)[0])
+    assert np.array_equal(ind[1], ind[2]) and 0 < ind.sum(axis=1)[1] < ind.sum(axis=1)[-1]
+    scan = lambda_scan(g, grid, t, 300, seed)
+    thinned = thinned_survival_indicators(g, grid, t, 300, _subseed(seed, 10, len(grid) - 1))
+    assert [round(e.value * 300) for _, e in scan] == thinned.sum(axis=1).tolist()
+    # thinning takes any replica count; the scan and the bisection need 100
+    assert thinned_survival_indicators(g, grid, t, 4, seed).shape == (5, 4)
+    with pytest.raises(ValueError, match="at least 100 replicas"):
+        lambda_scan(g, grid, t, 99, seed)
+    for graph, replicas in ((g, 99), (LazyTree(4, 8), 0)):  # forward, and dual
+        with pytest.raises(ValueError, match="at least 100 replicas"):
+            critical_estimate(graph, (0.1, 1.5), t, replicas, threshold=0.2, tol=0.2, seed=seed)
+
+
+@pytest.mark.parametrize("grid,message", [
+    ([], "lambda grid is empty"),
+    ([-0.5, 0.0, 0.5], "lambda grid rates must be finite and >= 0"),
+    ([math.nan, 0.5], "lambda grid rates must be finite and >= 0"),
+    ([0.2, math.inf], "lambda grid rates must be finite and >= 0"),
+    ([0.5, 0.2], "lambda grid must be ascending"),
+], ids=["empty", "negative", "nan", "inf", "descending"])
+@pytest.mark.parametrize("estimator", ["scan", "thinned"])
+def test_rate_grids_are_checked_before_any_run(monkeypatch, grid, message, estimator):
+    def evaluated(*_a, **_k):
+        raise AssertionError("survival was evaluated")
+
+    monkeypatch.setattr(engines, "threshold_replicas", evaluated)
+    call = lambda_scan if estimator == "scan" else thinned_survival_indicators
+    with pytest.raises(ValueError, match=message):
+        call(build_torus(1, 6), grid, 1.0, 200, seed=1)
 
 
 def test_critical_estimate_torus():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tocp.clocks import HEAL, INFECT, ClockSchedule, build_schedule, merged_events
-from tocp.experiments import _subseed, thinned_survival_indicators
 from tocp.graphs import build_torus, build_tree
 from tocp.processes import (
     ZetaState,
@@ -18,7 +17,6 @@ from tocp.processes import (
     step_branch,
     step_dual,
     step_eta,
-    step_threshold,
     step_xi,
     step_zeta,
 )
@@ -125,34 +123,6 @@ def test_branch_rules():
     s2 = {leaf}
     step_branch(s2, ev(0.3, leaf, INFECT), g)
     assert s2 == set()
-
-
-def test_threshold_rules():
-    inf = math.inf
-    st = [inf, 0.3, inf, 0.6]
-    step_threshold(st, (0.1, 0, INFECT, 0.5), CYCLE4)  # neighbours 1 and 3: max(0.5, 0.3)
-    assert st == [0.5, 0.3, inf, 0.6]
-    step_threshold(st, (0.2, 0, INFECT, 0.1), CYCLE4)  # the neighbours bound it: 0.3
-    assert st == [0.3, 0.3, inf, 0.6]
-    step_threshold(st, (0.3, 0, INFECT, 0.0), CYCLE4)  # never raised by an infect event
-    assert st[0] == 0.3
-    step_threshold(st, (0.4, 2, INFECT, 0.2), CYCLE4)  # neighbours 1 and 3
-    assert st == [0.3, 0.3, 0.3, 0.6]
-    step_threshold(st, (0.5, 1, HEAL, -1.0), CYCLE4)
-    assert st == [0.3, inf, 0.3, 0.6]
-    # level c: the spin process that keeps infect events with mark below c
-    for c, spins in ((0.25, [0, 0, 0, 0]), (0.4, [1, 0, 1, 0]), (1.0, [1, 0, 1, 1])):
-        assert [int(m < c) for m in st] == spins
-
-
-def test_threshold_needs_marks():
-    sched = build_schedule(CYCLE4, 0.5, 1.0, 3)
-    with pytest.raises(ValueError, match="marks"):
-        run("threshold", sched, CYCLE4, [-math.inf] * 4, [1.0])
-    with pytest.raises(ValueError, match="marks"):
-        run("eta", sched, CYCLE4, all_ones_spin(CYCLE4), [1.0], marks=np.zeros(sched.n_events))
-    with pytest.raises(ValueError, match="one mark per event"):
-        run("threshold", sched, CYCLE4, [-math.inf] * 4, [1.0], marks=np.zeros(1))
 
 
 def test_branch_requires_orientation():
@@ -274,13 +244,10 @@ def initial_state(kind, graph, rng):
     return {0, 1} if kind == "dual" else {0}
 
 
-def loop_replay(kind, sched, graph, state, obs, lam, d_param, marks=None):
+def loop_replay(kind, sched, graph, state, obs, lam, d_param):
     """Snapshots of the step rules applied one by one over merged_events."""
-    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch,
-            "threshold": step_threshold}.get(kind)
+    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch}.get(kind)
     events = list(merged_events(sched))
-    if marks is not None:
-        events = [(*e, m) for e, m in zip(events, marks.tolist())]
     snaps, i = [], 0
     for t in obs:
         while i < len(events) and events[i][0] <= t:
@@ -328,60 +295,3 @@ def test_run_equals_loop_of_step_rules(kind, graph):
             assert np.array_equal(init, final)
         else:
             assert init == final
-
-
-def test_thinning_top_rate_is_the_unthinned_replay():
-    g = build_torus(1, 6)
-    grid, t, seed = [0.2, 0.5, 0.9], 3.0, 11
-    ind = thinned_survival_indicators(g, grid, t, 40, seed=seed)
-    for rep in range(40):
-        s = build_schedule(g, grid[-1], t, _subseed(seed, 20, rep))
-        assert ind[-1, rep] == run("eta", s, g, all_ones_spin(g), [t])[0][0]
-
-
-@pytest.mark.parametrize("graph", [TORUS, TREE], ids=["torus", "tree"])
-def test_run_threshold_equals_loop_of_step_rule(graph):
-    obs = [0.0, 0.5, 1.5, 1.5, 3.0, 4.0]
-    for seed in range(3):
-        sched = build_schedule(graph, 0.8, 4.0, seed)
-        rng = np.random.default_rng(seed)
-        marks = rng.random(sched.n_events)
-        init = np.where(rng.random(graph.n_vertices) < 0.5, -math.inf, math.inf).tolist()
-        want, final = loop_replay("threshold", sched, graph, list(init), obs, None, None, marks)
-        got = run("threshold", sched, graph, init, obs, marks=marks)
-        assert got == want and init == final
-        assert any(0 <= m < 1 for m in got[-1])  # some level is a mark
-
-
-def per_rate_thinned_indicators(graph, grid, t, replicas, seed, x=0):
-    """Thinned survival indicators from one eta replay per replica and rate."""
-    lam_max = grid[-1]
-    out = np.zeros((len(grid), replicas), dtype=np.uint8)
-    for rep in range(replicas):
-        rep_seed = _subseed(seed, 20, rep)
-        sched = build_schedule(graph, lam_max, t, rep_seed)
-        marks_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=rep_seed, spawn_key=(1 << 20,)))
-        )
-        infect = sched.kinds == INFECT
-        marks = np.full(sched.n_events, -1.0)
-        marks[infect] = marks_rng.random(int(infect.sum()))
-        for gi, lam in enumerate(grid):
-            keep = marks < (lam / lam_max if lam_max > 0 else 0.0)
-            thinned = ClockSchedule(sched.graph_n, lam, t, rep_seed, sched.times[keep],
-                                    sched.vertices[keep], sched.kinds[keep])
-            out[gi, rep] = run("eta", thinned, graph, all_ones_spin(graph).tolist(), [t])[0][x]
-    return out
-
-
-@pytest.mark.parametrize("graph,grid,t", [
-    (build_torus(1, 6), [0.0, 0.2, 0.5, 0.9, 0.9], 3.0),
-    (build_tree(3, 4), [0.1, 0.25, 0.4, 0.6, 0.8], 4.0),
-], ids=["ring", "tree"])
-def test_thinned_indicators_equal_per_rate_replays(graph, grid, t):
-    want = per_rate_thinned_indicators(graph, grid, t, 60, seed=12)
-    got = thinned_survival_indicators(graph, grid, t, 60, seed=12)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert 0 < want.sum() < want.size
-    assert np.array_equal(thinned_survival_indicators(graph, [0.0], t, 60, seed=12),
-                          per_rate_thinned_indicators(graph, [0.0], t, 60, seed=12))
