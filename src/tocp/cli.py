@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-replica", action="store_true",
                    help="emit one (replica, time, observable, value) row per replica")
     p.add_argument("--dump-schedule", default=None,
-                   help="also write one binary clock schedule for debugging")
+                   help="also write replica 0's clock schedule (its events up to --t)")
     _add_common(p, _cmd_simulate, seed=True)
 
     p = sub.add_parser("duality", help="infection vs dual-set survival z-score")

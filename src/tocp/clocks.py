@@ -8,16 +8,20 @@ real-valued, dual set, branching set) are driven by the same schedule,
 which is what makes the coupling identities exact rather than
 statistical.
 
-Every clock is a counter-based stream (Salmon et al., SC'11): its k-th
-exponential gap is a splitmix64 mix (Steele, Lea & Flood, OOPSLA 2014)
-of ``(seed, vertex, kind, k)`` and its times are ``cumsum(gaps) / rate``,
-so a clock's stream does not change when vertices are added or the
-horizon grows, and all clocks are drawn at once.  Seeds lie in
-``[0, 2**64)``.  Schedules differ from those of the per-vertex
-``SeedSequence`` generators used before; dumps are version 2.
+This module owns how a seed becomes events, for schedules and the
+lock-step engines of :mod:`tocp.engines` alike.  Value ``k`` of the
+counter-based stream (Salmon et al., SC'11) ``(seed, replica, kind)`` is
+a splitmix64 mix (Steele, Lea & Flood, OOPSLA 2014) of the four.  The
+count stream gives a Poisson number of events per observation interval,
+the mark stream event ``k``'s uniform vertex and infect mark, and the
+time stream a schedule's sorted uniform times.  By superposition and
+marking (Kingman, *Poisson Processes*, 1993, ch. 2, 5) replica 0 over
+``[0, horizon]`` has the law of the merged clocks, and that is the
+schedule.  Seeds lie in ``[0, 2**64)``; dumps are version 2.
 """
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -32,7 +36,6 @@ __all__ = [
     "ClockSchedule",
     "build_schedule",
     "merged_events",
-    "vertex_stream",
     "dump_schedule",
     "load_schedule",
 ]
@@ -43,18 +46,21 @@ INFECT = 1
 _MAGIC = b"TOCPCLK2"
 _HEADER = struct.Struct("<IQddqQ")  # version, seed, lam, horizon, graph_n, n_events
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment
-#: clocks x gaps drawn at once; bounds the temporaries of a large graph
-_BLOCK_CELLS = 1 << 16
+# the three counter-based streams of a replica
+_COUNTS, _MARKS, _TIMES = 0, 1, 2
+# Largest Poisson mean drawn from one inverse-CDF table; larger means are
+# sums of equal pieces, one uniform each.
+_POISSON_PIECE = 1 << 20
+# events a schedule decodes at once: bounds the temporaries of a long schedule
+_EVENT_CHUNK = 1 << 18
 
 
 @dataclass
 class ClockSchedule:
     """Time-sorted event list for one graph, rate and seed.
 
-    ``times`` are strictly increasing after deterministic tie-breaking by
-    ``(time, vertex, kind)`` with heal before infect; exact float ties
-    have probability zero.  Identical ``(graph, lam, horizon, seed)``
-    reproduce the schedule bit for bit.
+    ``times`` are nondecreasing, with the events in stream order.
+    Identical ``(graph, lam, horizon, seed)`` reproduce it bit for bit.
     """
 
     graph_n: int
@@ -84,71 +90,105 @@ def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _stream_keys(seed: int, ids: np.ndarray, kind: int, domain: int = 0) -> np.ndarray:
-    """Keys of the streams ``(seed, ids[i], kind)`` of ``domain``, distinct
-    within a seed and domain.
+def _stream_keys(seed: int, ids, kind: int) -> np.ndarray:
+    """Keys of the streams ``(seed, ids[i], kind)``, distinct within a seed.
 
-    Value ``k >= 1`` of a stream with key ``key`` is ``_mix(key + k * _GAMMA)``.
-    The clocks here use domain 0; other users of the key space take their
-    own domain, so that they never read a clock's stream of the same seed.
+    Stream ``(i, kind)`` is number ``2 * i + kind + 1`` for the count and
+    mark streams and ``-(i + 1)`` (mod ``2**64``) for the time stream, and
+    value ``k >= 1`` of a stream with key ``key`` is ``_mix(key + k * _GAMMA)``.
     """
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    offset = np.array([domain + 1], dtype=np.uint64) * _GAMMA
-    base = _mix(np.array([seed], dtype=np.uint64) + offset)
-    return _mix(base + (2 * np.asarray(ids).astype(np.uint64) + np.uint64(kind + 1)) * _GAMMA)
+    # seed offset 2 * _GAMMA: changing it changes every fixed-seed output
+    base = _mix(np.array([seed], dtype=np.uint64) + _steps(2))
+    ids = np.asarray(ids).astype(np.uint64)
+    number = ~ids if kind == _TIMES else 2 * ids + np.uint64(kind + 1)
+    return _mix(base + number * _GAMMA)
 
 
-def _chunk(expect: float) -> int:
-    """Gaps drawn per clock and round; clocks that fall short draw another round."""
-    return max(8, int(expect + np.sqrt(expect) + 1))
+def _steps(n) -> np.ndarray:
+    """``k * _GAMMA`` for ``k`` in ``n`` (an int or an int array), wrapping as uint64."""
+    return np.asarray(n, dtype=np.uint64) * _GAMMA
 
 
-def _realize(seed: int, vertices: np.ndarray, kind: int, rate: float, horizon: float):
-    """``(times, rows)``: times in ``(0, horizon]`` of clocks ``(seed, vertices[row], kind)``.
+def _poisson_table(mu: float):
+    """``(lo, cdf, pieces)``: Poisson(``mu``) is the sum of ``pieces`` draws
+    ``lo + searchsorted(cdf, u, side="right")``, one uniform ``u`` each.
 
-    Times are running sums of the gaps, accumulated left to right across
-    rounds and divided by ``rate``, so they do not depend on the rounds.
+    The table spans the piece mean -10 to +10 standard deviations (+40):
+    the mass it leaves out is below 1e-20.
     """
-    keys = _stream_keys(seed, vertices, kind)  # one key per clock
-    times, rows = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    n = min(_chunk(max(rate * horizon, 0.0)), _BLOCK_CELLS)
-    block = _BLOCK_CELLS // n
-    for r0 in range(0, len(keys) if rate > 0 and horizon > 0 else 0, block):
-        live = np.arange(r0, min(r0 + block, len(keys)), dtype=np.int64)
-        carry, k0 = 0.0, 0
-        while len(live):
-            z = _mix(keys[live, None] + np.arange(k0 + 1, k0 + n + 1, dtype=np.uint64) * _GAMMA)
-            # 52 random bits centred in their cell: u in (0, 1), so every gap is > 0
-            sums = -np.log(((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
-            sums[:, 0] += carry
-            np.cumsum(sums, axis=1, out=sums)
-            t = sums / rate
-            inside = t <= horizon
-            times.append(t[inside])
-            rows.append(np.repeat(live, inside.sum(axis=1)))
-            # clocks still inside the horizon after this round draw the next one
-            short = inside[:, -1]
-            live = live[short]
-            carry = sums[short, -1]
-            k0 += n
-    return np.concatenate(times), np.concatenate(rows)
+    pieces = max(1, math.ceil(mu / _POISSON_PIECE))
+    m = mu / pieces
+    sd = math.sqrt(m)
+    lo, hi = max(0, math.floor(m - 10 * sd)), math.ceil(m + 10 * sd + 40)
+    # log pmf ratios to the first entry: log(m / k) per step up
+    logw = np.concatenate([[0.0], np.cumsum(np.log(m / np.arange(lo + 1, hi + 1)))])
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    cdf /= cdf[-1]
+    return lo, cdf, pieces
 
 
-def vertex_stream(seed: int, vertex: int, kind: int, rate: float, horizon: float) -> np.ndarray:
-    """Event times in ``(0, horizon]`` for one clock of one vertex.
+def _event_counts(count_keys: np.ndarray, interval: int, table) -> np.ndarray:
+    """Events of each row in observation interval ``interval``, from the
+    rows' count streams (value ``interval * 2**32 + piece + 1``)."""
+    lo, cdf, pieces = table
+    n = np.full(len(count_keys), lo * pieces, dtype=np.int64)
+    u = np.empty(len(count_keys))
+    for piece in range(pieces):
+        z = _mix(count_keys + _steps((interval << 32) + piece + 1), u.view(np.uint64))
+        np.multiply(z >> np.uint64(12), 2.0**-52, out=u)
+        n += np.searchsorted(cdf, u, side="right")
+    return n
 
-    The stream is a pure function of ``(seed, vertex, kind)``, the
-    ``(vertex, kind)`` row of :func:`build_schedule`; ``horizon`` decides
-    how much of it is realized, and ``rate`` divides its times.
+
+class _Draws:
+    """Buffers for the marks of up to ``cells`` events of a ``V``-vertex graph.
+
+    Event ``k`` (from 0) of a row is its mark stream's value ``k + 1``,
+    ``z``.  Its mark is ``r = (z >> b) * V / 2**(64 - b)`` in ``[0, V)``,
+    with ``V < 2**b``: it rings vertex ``u = floor(r)``, and its fraction
+    ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)`` given
+    ``u``.  The product ``(z >> b) * V`` is exact in uint64.
     """
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    return _realize(seed, np.array([vertex]), kind, rate, horizon)[0]
+
+    def __init__(self, cells, V):
+        self.V, self.b = V, V.bit_length()
+        self.z = np.empty(cells, dtype=np.uint64)
+        self.u = np.empty(cells, dtype=np.int64)
+
+    def marks(self, base, s, c, by_pass=False):
+        """``(z, u)``: products and vertices of events ``s .. s + c - 1`` of
+        the rows whose event 0 is stream value ``base``, of shape
+        ``(len(base), c)``, or ``(c, len(base))`` if ``by_pass``."""
+        k = len(base)
+        shape = (c, k) if by_pass else (k, c)
+        z = self.z[: k * c].reshape(shape)
+        steps = np.arange(c, dtype=np.uint64)
+        steps *= _GAMMA
+        if by_pass:
+            np.add(base + _steps(s), steps[:, None], out=z)
+        else:
+            np.add((base + _steps(s))[:, None], steps, out=z)
+        u = self.u[: k * c].reshape(shape)
+        _mix(z, u.view(np.uint64))
+        np.right_shift(z, np.uint64(self.b), out=z)
+        z *= np.uint64(self.V)
+        np.right_shift(z, np.uint64(64 - self.b), out=u.view(np.uint64))
+        return z, u
+
+    def fractions(self, z):
+        """The fractions ``q`` of the products ``z``, written over ``z``."""
+        z &= np.uint64((1 << (64 - self.b)) - 1)
+        return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
 
 
 def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedule:
-    """Realize all clocks of ``graph`` on ``[0, horizon]``.
+    """Realize all clocks of ``graph`` on ``[0, horizon]``: replica 0's events.
+
+    Event ``k`` infects iff its mark's fraction is below ``lam / (1 + lam)``.
+    Replayed to ``horizon``, the schedule gives replica 0 of ``spin_replicas``
+    and ``counts_replicas`` at ``obs_times=[horizon]`` and ``seed``, bit for bit.
 
     Parameters
     ----------
@@ -159,8 +199,7 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     horizon : float
         Right end of the time window, finite and ``>= 0``.
     seed : int
-        Master seed in ``[0, 2**64)``; per-vertex streams derive from it
-        independently.
+        Master seed in ``[0, 2**64)``.
     """
     require_materialized(graph)
     if not (np.isfinite(lam) and lam >= 0):
@@ -168,16 +207,21 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"need finite horizon >= 0, got horizon={horizon}")
     V = graph.n_vertices
-    parts = [_realize(seed, np.arange(V), kind, rate, horizon)
-             for kind, rate in ((HEAL, 1.0), (INFECT, lam))]
-    times, verts = (np.concatenate(arrays) for arrays in zip(*parts))
-    kinds = np.repeat(np.array([HEAL, INFECT], dtype=np.int8), [len(t) for t, _ in parts])
-    # drop each unsorted array once it is no longer needed, to bound peak memory
-    del parts
-    order = np.lexsort((kinds, verts, times))
-    times = times[order]
-    verts = verts[order]
-    kinds = kinds[order]
+    counts, marks, clock = (_stream_keys(seed, [0], kind) for kind in (_COUNTS, _MARKS, _TIMES))
+    mu = V * (1.0 + lam) * horizon
+    n = int(_event_counts(counts, 0, _poisson_table(mu))[0]) if mu > 0 else 0
+    times, verts, kinds = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)
+    draw = _Draws(min(n, _EVENT_CHUNK), V)
+    # event k is value k + 1 of the mark and time streams
+    for s in range(0, n, _EVENT_CHUNK):
+        c = min(_EVENT_CHUNK, n - s)
+        z, u = draw.marks(marks + _GAMMA, s, c)
+        verts[s : s + c] = u[0]
+        np.less(draw.fractions(z)[0], lam / (1.0 + lam), out=kinds[s : s + c].view(bool))
+        # 52 random bits centred in their cell: u in (0, 1), so 0 < t <= horizon
+        z = _mix(clock + _steps(np.arange(s + 1, s + c + 1))) >> np.uint64(12)
+        times[s : s + c] = (z + 0.5) * (2.0**-52 * horizon)
+    times.sort()
     return ClockSchedule(V, lam, horizon, seed, times, verts, kinds)
 
 

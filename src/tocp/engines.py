@@ -2,11 +2,10 @@
 
 The schedule-driven machinery in :mod:`tocp.processes` is exact but
 touches one event at a time, which is too slow for estimators that need
-10^5 independent replicas.  The engines here exploit the superposition
-property of the per-vertex Poisson clocks: merged over a graph with V
-vertices, events arrive as a single Poisson stream of rate
-``V * (1 + lam)`` whose marks are an independent uniform vertex and an
-infect/heal flag with infect probability ``lam / (1 + lam)``.
+10^5 independent replicas.  The engines here read the merged event
+streams of :mod:`tocp.clocks` instead: per replica, Poisson events at
+rate ``V * (1 + lam)``, each at a uniform vertex, an infect event with
+probability ``lam / (1 + lam)``.
 
 One private lock-step kernel advances the replicas of all four
 lock-step engines, one event per replica per pass, with the per-event
@@ -25,22 +24,16 @@ Replicas whose configuration is absorbed (all zero; all ``+inf`` for
 threshold levels) are retired, and a block stops as soon as none is
 left.
 
-Determinism: every replica reads its own two counter-based streams
-(Salmon et al., *Parallel random numbers: as easy as 1, 2, 3*, SC'11),
-as the clocks of :mod:`tocp.clocks` do, in a key domain apart from
-theirs.  Value ``k`` of stream ``(seed, i, kind)`` is a splitmix64 mix
-of the three: the count stream of replica ``i`` gives its number of
-events in each observation interval (Poisson, by inversion of a table
-of the CDF), and its mark stream gives event ``k``'s vertex and infect
-mark.  A replica's output therefore depends on ``(graph, lam, obs,
-seed, i)`` only, not on its block, on the number of replicas, or on
-when other replicas retire: replica ``i`` of a 100-replica run is
-replica ``i`` of a 10^5-replica run, and it can be rerun alone.  Seeds
-lie in ``[0, 2**64)``.  The draws do not depend on the rule, so the
-engines share their random numbers: with equal arguments
-``spin_replicas`` equals ``counts_replicas > 0`` replica by replica,
-and ``reals_replicas`` equals the counting values times
-``exp((1 - 2*lam*d) * t)`` up to float64 rounding.
+Determinism: every replica reads its own count and mark streams, so a
+replica's output depends on ``(graph, lam, obs, seed, i)`` only, not on
+its block, on the number of replicas, or on when other replicas retire:
+replica ``i`` of a 100-replica run is replica ``i`` of a 10^5-replica
+run, and it can be rerun alone.  The draws do not depend on the rule, so
+the engines share their random numbers: with equal arguments
+``spin_replicas`` equals ``counts_replicas > 0`` replica by replica, and
+``reals_replicas`` equals the counting values times
+``exp((1 - 2*lam*d) * t)`` up to float64 rounding.  A clock schedule
+holds replica 0's events (:func:`tocp.clocks.build_schedule`).
 
 Light cone: the spin and threshold folds are monotone, so a run on the
 ball ``B_r(x)`` around the observed vertex, from the same streams, with
@@ -82,9 +75,9 @@ step, the ringing member's depth (inverse CDF over the row's cumulative
 counts) and an infect/heal uniform; a block of rows draws from
 ``SeedSequence(seed, spawn_key=(block_index,))``.
 
-Agreement with the schedule-driven reference dynamics is established in
-the test suite (exactly, for the threshold fold at every rate); couplings
-that need *shared* clocks always go through :class:`tocp.clocks.ClockSchedule`.
+The test suite checks the engines against the schedule-driven reference
+dynamics exactly, and the threshold fold at every rate against thinned
+replays; couplings that need *shared* clocks go through a schedule.
 """
 from __future__ import annotations
 
@@ -92,7 +85,8 @@ import math
 
 import numpy as np
 
-from .clocks import _GAMMA, _mix, _stream_keys
+from .clocks import (_COUNTS, _GAMMA, _MARKS, _Draws, _event_counts, _poisson_table, _steps,
+                     _stream_keys)
 from .graphs import FiniteGraph, require_materialized
 
 __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
@@ -124,27 +118,11 @@ _BALL_PASSES = 64
 # Stream values a group of light-cone rows draws and filters at once (1 MiB
 # of uint64).
 _DRAW_CELLS = 128 * 1024
-# Largest Poisson mean drawn from one inverse-CDF table; larger means are
-# sums of equal pieces, one uniform each.
-_POISSON_PIECE = 1 << 20
 # Count cells per branching block: a block's live rows and their cumulative
 # counts stay a few hundred kB whatever ``n_replicas`` is.
 _BRANCH_CELLS = 1 << 16
 # More events than this in one branching_replicas call raise RuntimeError.
 _MAX_BRANCH_EVENTS = 50_000_000
-# The two counter-based streams of each lock-step replica, in a key domain
-# of their own: the clocks of tocp.clocks use domain 0.
-_COUNTS, _MARKS = 0, 1
-_DOMAIN = 1
-
-
-def _block_size(n_replicas: int, n_vertices: int) -> int:
-    return max(256, min(n_replicas, _BLOCK_CELLS // (n_vertices + 1)))
-
-
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
 def _check_obs(obs_times) -> np.ndarray:
@@ -162,94 +140,17 @@ def _check_obs(obs_times) -> np.ndarray:
 # per-replica streams
 
 
-def _steps(n) -> np.ndarray:
-    """``k * _GAMMA`` for ``k`` in ``n`` (an int or an int array), wrapping as uint64."""
-    return np.asarray(n, dtype=np.uint64) * _GAMMA
-
-
-def _poisson_table(mu: float):
-    """``(lo, cdf, pieces)``: Poisson(``mu``) is the sum of ``pieces`` draws
-    ``lo + searchsorted(cdf, u, side="right")``, one uniform ``u`` each.
-
-    The table spans the piece mean -10 to +10 standard deviations (+40):
-    the mass it leaves out is below 1e-20.
-    """
-    pieces = max(1, math.ceil(mu / _POISSON_PIECE))
-    m = mu / pieces
-    sd = math.sqrt(m)
-    lo, hi = max(0, math.floor(m - 10 * sd)), math.ceil(m + 10 * sd + 40)
-    # log pmf ratios to the first entry: log(m / k) per step up
-    logw = np.concatenate([[0.0], np.cumsum(np.log(m / np.arange(lo + 1, hi + 1)))])
-    cdf = np.cumsum(np.exp(logw - logw.max()))
-    cdf /= cdf[-1]
-    return lo, cdf, pieces
-
-
-def _event_counts(count_keys: np.ndarray, interval: int, table) -> np.ndarray:
-    """Events of each row in observation interval ``interval``, from the
-    rows' count streams (value ``interval * 2**32 + piece + 1``)."""
-    lo, cdf, pieces = table
-    n = np.full(len(count_keys), lo * pieces, dtype=np.int64)
-    u = np.empty(len(count_keys))
-    for piece in range(pieces):
-        z = _mix(count_keys + _steps((interval << 32) + piece + 1), u.view(np.uint64))
-        np.multiply(z >> np.uint64(12), 2.0**-52, out=u)
-        n += np.searchsorted(cdf, u, side="right")
-    return n
-
-
-class _Draws:
-    """Buffers for the marks of up to ``cells`` events of a ``V``-vertex graph.
-
-    Event ``k`` (from 0) of a row is its mark stream's value ``k + 1``,
-    ``z``.  Its mark is ``r = (z >> b) * V / 2**(64 - b)`` in ``[0, V)``,
-    with ``V < 2**b``: it rings vertex ``u = floor(r)``, and its fraction
-    ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)`` given
-    ``u``.  The product ``(z >> b) * V`` is exact in uint64.
-    """
-
-    def __init__(self, cells, V):
-        self.V, self.b = V, V.bit_length()
-        self.z = np.empty(cells, dtype=np.uint64)
-        self.u = np.empty(cells, dtype=np.int64)
-        self.hit = np.empty(cells, dtype=bool)
-
-    def marks(self, base, s, c, by_pass=False):
-        """``(z, u)``: products and vertices of events ``s .. s + c - 1`` of
-        the rows whose event 0 is stream value ``base``, of shape
-        ``(len(base), c)``, or ``(c, len(base))`` if ``by_pass``."""
-        k = len(base)
-        shape = (c, k) if by_pass else (k, c)
-        z = self.z[: k * c].reshape(shape)
-        steps = np.arange(c, dtype=np.uint64)
-        steps *= _GAMMA
-        if by_pass:
-            np.add(base + _steps(s), steps[:, None], out=z)
-        else:
-            np.add((base + _steps(s))[:, None], steps, out=z)
-        u = self.u[: k * c].reshape(shape)
-        _mix(z, u.view(np.uint64))
-        np.right_shift(z, np.uint64(self.b), out=z)
-        z *= np.uint64(self.V)
-        np.right_shift(z, np.uint64(64 - self.b), out=u.view(np.uint64))
-        return z, u
-
-    def fractions(self, z):
-        """The fractions ``q`` of the products ``z``, written over ``z``."""
-        z &= np.uint64((1 << (64 - self.b)) - 1)
-        return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
-
-    def hits(self, base, s, c, n_ev, keep, local, row0):
-        """``(rows, local[vertices], fractions)`` of those events ``s .. s + c - 1``
-        of the rows with event counts ``n_ev`` that ring a vertex ``v`` with
-        ``keep[v]``; rows are numbered from ``row0``, and each row's events
-        come in stream order."""
-        z, u = self.marks(base, s, c)
-        hit = keep.take(u, out=self.hit[: z.size].reshape(z.shape))
-        if n_ev.min() - s < c:  # some rows end inside this segment
-            hit &= np.arange(c) < (n_ev - s)[:, None]
-        f = np.flatnonzero(hit)  # row-major
-        return f // c + row0, local.take(u.reshape(-1)[f]), self.fractions(z.reshape(-1)[f])
+def _hits(draw, base, s, c, n_ev, keep, local, row0):
+    """``(rows, local[vertices], fractions)`` of those events ``s .. s + c - 1``
+    of the rows with event counts ``n_ev`` that ring a vertex ``v`` with
+    ``keep[v]``, drawn into the buffers of ``draw``; rows are numbered from
+    ``row0``, and each row's events come in stream order."""
+    z, u = draw.marks(base, s, c)
+    hit = keep.take(u)
+    if n_ev.min() - s < c:  # some rows end inside this segment
+        hit &= np.arange(c) < (n_ev - s)[:, None]
+    f = np.flatnonzero(hit)  # row-major
+    return f // c + row0, local.take(u.reshape(-1)[f]), draw.fractions(z.reshape(-1)[f])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +218,7 @@ class _Kernel:
         self.init[: self.V] = self.full if initial is None else np.asarray(initial, dtype=dtype)
 
     def keys(self, ids):
-        return (_stream_keys(self.seed, ids, _COUNTS, _DOMAIN),
-                _stream_keys(self.seed, ids, _MARKS, _DOMAIN))
+        return _stream_keys(self.seed, ids, _COUNTS), _stream_keys(self.seed, ids, _MARKS)
 
     def buffers(self, rows):
         """Work arrays for ``passes`` over up to ``rows`` rows, made once per
@@ -379,7 +279,7 @@ def _full(kern, rows, out):
         return
     cn, w, V, blank = kern.cn, kern.w, kern.V, kern.blank
     stride = V + 1
-    bs = _block_size(len(rows), V)
+    bs = max(256, min(len(rows), _BLOCK_CELLS // stride))
     n_rows = min(bs, len(rows))
     n_draw = max(_CHUNK_CELLS // w, n_rows)
     draw = _Draws(n_draw, V)
@@ -472,8 +372,8 @@ def _cone(kern, ball, rows, out):
                 n_ev = _event_counts(count_keys, j, table)
                 for s in range(0, int(n_ev.max()), seg):
                     c = int(min(seg, n_ev.max() - s))
-                    parts = [draw.hits(base[g : g + group], s, c, n_ev[g : g + group],
-                                       in_ball, loc, g) for g in range(0, k, group)]
+                    parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
+                                   in_ball, loc, g) for g in range(0, k, group)]
                     i, u, q = (np.concatenate(a) for a in zip(*parts))
                     if len(i) == 0:
                         continue
@@ -762,6 +662,8 @@ def branching_replicas(
     """
     if frontier not in ("escape", "absorb"):
         raise ValueError("frontier must be 'escape' or 'absorb'")
+    if n < 2:
+        raise ValueError(f"branching number n must be >= 2, got n={n}")
     _check_set_args(lam, t_end, "depth", depth)
     # time runs in units of 1 / (1 + lam): a row of m members waits Exp(1) / m
     horizon, p_inf = (1.0 + lam) * t_end, lam / (1.0 + lam)
@@ -773,7 +675,7 @@ def branching_replicas(
     escape = depth - 1 if frontier == "escape" else -1
     survived = heal_events = infect_events = 0
     for blk, lo in enumerate(range(0, n_replicas, bs)):
-        rng = _block_rng(seed, blk)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(blk,))))
         k = min(bs, n_replicas - lo)
         # Work arrays, made once per block so that a pass allocates nothing: rows
         # of per-depth counts, live rows first, with a spare last cell for zero adds.

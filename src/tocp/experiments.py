@@ -180,10 +180,12 @@ def branching_exact(n: int, lam: float, t: float, depth: int, frontier: str = "e
     ``u_j' = 1 - (1+lam) u_j + lam u_{j+1}^n`` with ``u_j(0) = 0``; the
     boundary is ``u_depth = 0`` (escape) or ``1 - exp(-(1+lam) s)``
     (absorb).  Integrated by LSODA at ``rtol = 1e-11``; returns
-    ``1 - u_0(t)``.
+    ``1 - u_0(t)``.  The branching number ``n`` is at least 2.
     """
     if frontier not in ("escape", "absorb"):
         raise ValueError("frontier must be 'escape' or 'absorb'")
+    if n < 2:
+        raise ValueError(f"branching number n must be >= 2, got n={n}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     # imported here: scipy.integrate costs about 24 MB and 0.2 s at import

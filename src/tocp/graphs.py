@@ -29,8 +29,8 @@ __all__ = [
 
 #: Materializing more vertices than this is refused; use LazyTree instead.
 MAX_MATERIALIZED_VERTICES = 2_000_000
-#: Deeper trees are refused: level starts are exact integers, so their
-#: memory grows with depth**2 (10.8 MB at n = 3, depth 10_000).
+#: Deeper trees are refused at n = 3, shallower at n >= 4: level starts take
+#: about log2(n) * depth**2 / 2 bits (10.8 MB at n = 3, depth 10_000).
 MAX_TREE_DEPTH = 10_000
 
 
@@ -187,8 +187,9 @@ def _level_starts(n: int, depth: int, root: str) -> list[int]:
     """First id of each level ``0 .. depth`` of a level-order tree, then its vertex count."""
     if root not in ("son_only", "full_degree"):
         raise ValueError(f"unknown root variant {root!r}")
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"tree depth {depth} exceeds the limit {MAX_TREE_DEPTH}")
+    limit = 2 * MAX_TREE_DEPTH // max(1, int(n).bit_length())  # n = 3 has 2 bits
+    if depth > limit:
+        raise ValueError(f"tree depth {depth} exceeds the limit {limit} for n = {n}")
     starts = [0, 1]
     width = n if root == "son_only" else n + 1
     for _ in range(depth):
@@ -212,7 +213,7 @@ def build_tree(n: int, depth: int, root: str = "son_only") -> FiniteGraph:
         one parent and ``n`` sons.
     depth : int
         Number of edge levels below the root; ``depth = 0`` is a single
-        vertex.  At most :data:`MAX_TREE_DEPTH`.
+        vertex.  At most :data:`MAX_TREE_DEPTH`, less for ``n >= 4``.
     root : {"son_only", "full_degree"}
         ``"son_only"``: the root has ``n`` sons (degree ``n``), matching
         the oriented branching construction.  ``"full_degree"``: the root

@@ -9,6 +9,8 @@ import pytest
 from tocp import clocks, engines, moments, walk
 from tocp.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from tocp.clocks import load_schedule
+from tocp.graphs import parse_graph_spec
+from tocp.processes import all_ones_spin, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,6 +69,23 @@ def test_simulate_dump_schedule(tmp_path, capsys):
     assert code == 0
     s = load_schedule(str(dump))
     assert s.graph_n == 6 and s.lam == 0.4
+
+
+def test_dump_schedule_holds_replica_zero(tmp_path, capsys):
+    # the dumped schedule, replayed to t, gives row 0 of --per-replica
+    spec, t = "tree:n=3,depth=5", 1.5
+    g = parse_graph_spec(spec)
+    dump = tmp_path / "clk.bin"
+    values = []
+    for seed in range(10):
+        code, out = run_cli(capsys, "simulate", "--graph", spec, "--lambda", "0.8", "--t", str(t),
+                            "--vertex", "2", "--replicas", "3", "--per-replica",
+                            "--seed", str(seed), "--dump-schedule", str(dump))
+        assert code == 0
+        eta = run("eta", load_schedule(str(dump)), g, all_ones_spin(g), [t])[0]
+        assert int(parse_csv(out)[0]["value"]) == eta[2]
+        values.append(int(eta[2]))
+    assert 0 < sum(values) < 10
 
 
 def test_simulate_dump_schedule_seed_domain(tmp_path, capsys):
@@ -278,7 +297,7 @@ def test_dump_schedule_refuses_lazy_tree_before_drawing(tmp_path, capsys, monkey
     def drawn(*_a):
         raise AssertionError("a schedule was drawn")
 
-    monkeypatch.setattr(clocks, "_realize", drawn)
+    monkeypatch.setattr(clocks, "_stream_keys", drawn)
     path = tmp_path / "s.bin"
     code = main(["simulate", "--graph", LAZY_TREE, "--lambda", "0.5", "--t", "0.01",
                  "--dump-schedule", str(path)])

@@ -8,7 +8,7 @@ from tocp import engines
 from tocp.clocks import _GAMMA, HEAL, INFECT, ClockSchedule, _stream_keys, build_schedule
 from tocp.experiments import branching_exact
 from tocp.graphs import LazyTree, build_torus, build_tree
-from tocp.processes import all_ones_spin, run
+from tocp.processes import all_ones_counts, all_ones_spin, run
 
 
 def two_sample_z(p1, n1, p2, n2):
@@ -268,6 +268,15 @@ def test_branching_rejects_bad_inputs(bad):
     args = {"lam": 0.3, "t_end": 1.0, "depth": 4, **bad}
     with pytest.raises(ValueError):
         engines.branching_replicas(3, args["lam"], args["t_end"], args["depth"], 50, seed=1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_branching_needs_two_sons(n):
+    # with fewer than two sons a member that infects can empty its row
+    with pytest.raises(ValueError, match="branching number n must be >= 2"):
+        engines.branching_replicas(n, 0.5, 2.0, 4, 200, 1)
+    with pytest.raises(ValueError, match="branching number n must be >= 2"):
+        branching_exact(n, 0.5, 2.0, 4)
 
 
 @pytest.mark.parametrize("frontier", ["escape", "absorb"])
@@ -553,14 +562,24 @@ def test_counts_do_not_depend_on_blocks_or_replica_count(monkeypatch):
     assert np.array_equal(engines.counts_replicas(g, 0.4, obs, 3, 30, seed=6), xi[:, :30])
 
 
-def test_replica_streams_are_not_vertex_clocks():
-    # replica i's count and mark streams are keyed apart from the heal and
-    # infect clocks of every vertex under the same seed
-    kern = engines._Kernel(build_torus(1, 8), 0.5, np.array([1.0]), 0, 3, np.maximum,
-                           np.uint8, None)
-    ids = np.arange(1000)
-    clocks = np.concatenate([_stream_keys(3, ids, kind) for kind in (0, 1)])
-    assert not np.isin(np.concatenate(kern.keys(ids)), clocks).any()
+@pytest.mark.parametrize("graph,cone", [
+    (build_torus(1, 8), False), (build_torus(2, 6), False), (build_tree(3, 8), True),
+], ids=["ring", "torus", "tree"])
+def test_schedule_is_replica_zero(graph, cone):
+    # a clock schedule holds replica 0's events: replayed to its horizon it
+    # gives replica 0 of the spin and counting engines, bit for bit
+    lam, t = 0.7, 2.0
+    assert (engines._radius(graph, 0, lam, t, graph.n_vertices) is not None) == cone
+    got, want = [], []
+    for seed in range(15):
+        s = build_schedule(graph, lam, t, seed)
+        eta = run("eta", s, graph, all_ones_spin(graph), [t])[0]
+        xi = run("xi", s, graph, all_ones_counts(graph), [t])[0]
+        got += [eta[0], eta[3], xi[0]]
+        want += [engines.spin_replicas(graph, lam, [t], x, 2, seed)[0, 0] for x in (0, 3)]
+        want.append(engines.counts_replicas(graph, lam, [t], 0, 2, seed)[0, 0])
+    assert got == want
+    assert 0 < sum(got[::3]) < 15  # vertex 0 survives in some replicas, not all
 
 
 @pytest.mark.parametrize("mu", [0.3, 4.0, 250.0, 3.5e6])

@@ -179,6 +179,17 @@ def test_tree_depth_is_capped(make):
         make(3, MAX_TREE_DEPTH + 1)
 
 
+def test_tree_depth_limit_shrinks_with_the_branching_number():
+    # level starts take about log2(n) * depth**2 / 2 bits: the depth limit
+    # is 2 * MAX_TREE_DEPTH // n.bit_length(), as at n = 3
+    assert LazyTree(10**6, 1000).level_start[-1] == tree_vertex_count(10**6, 1000)
+    for n, depth in ((10**6, 1001), (10**6, 2000), (10**18, 2000), (4, 6667)):
+        for make in (LazyTree, build_tree, tree_vertex_count):
+            with pytest.raises(ValueError, match=f"exceeds the limit {20000 // n.bit_length()}"):
+                make(n, depth)
+    assert LazyTree(2, MAX_TREE_DEPTH).depth == MAX_TREE_DEPTH
+
+
 def test_tree_spec_depth_is_capped():
     # a depth of a million would ask for about 100 GB of level starts
     with pytest.raises(ValueError, match="exceeds the limit"):
