@@ -116,8 +116,10 @@ def _poisson_table(mu: float):
     ``lo + searchsorted(cdf, u, side="right")``, one uniform ``u`` each.
 
     The table spans the piece mean -10 to +10 standard deviations (+40):
-    the mass it leaves out is below 1e-20.
+    the mass it leaves out is below 1e-20.  ``ValueError`` above ``2**40``.
     """
+    if not mu <= 2.0**40:  # 2**20 pieces, each a pass over the rows
+        raise ValueError(f"expected event count {mu:.4g} is above 2**40: shorten the horizon")
     pieces = max(1, math.ceil(mu / _POISSON_PIECE))
     m = mu / pieces
     sd = math.sqrt(m)

@@ -75,9 +75,9 @@ step, the ringing member's depth (inverse CDF over the row's cumulative
 counts) and an infect/heal uniform; a block of rows draws from
 ``SeedSequence(seed, spawn_key=(block_index,))``.
 
-The test suite checks the engines against the schedule-driven reference
-dynamics exactly, and the threshold fold at every rate against thinned
-replays; couplings that need *shared* clocks go through a schedule.
+The test suite checks the spin, counting and real engines bit for bit
+against the schedule-driven reference dynamics, and the threshold fold at
+every rate against thinned replays; shared-clock couplings use schedules.
 """
 from __future__ import annotations
 
@@ -563,10 +563,11 @@ def threshold_replicas(
 # set-valued processes (dual / branching survival)
 
 
-def _check_set_args(lam: float, t_end: float, name: str, size: int) -> None:
-    if not (np.isfinite(lam) and lam >= 0 and np.isfinite(t_end) and t_end >= 0 and size >= 1):
-        raise ValueError(f"need finite lam >= 0 and t_end >= 0 and {name} >= 1, "
-                         f"got lam={lam}, t_end={t_end}, {name}={size}")
+def _check_set_args(lam: float, t_end: float, n_replicas: int, name: str, size: int) -> None:
+    if not (np.isfinite(lam) and lam >= 0 and np.isfinite(t_end) and t_end >= 0
+            and n_replicas >= 1 and size >= 1):
+        raise ValueError(f"need finite lam >= 0 and t_end >= 0, n_replicas >= 1 and {name} >= 1, "
+                         f"got lam={lam}, t_end={t_end}, n_replicas={n_replicas}, {name}={size}")
 
 
 def set_survival_replicas(
@@ -588,7 +589,7 @@ def set_survival_replicas(
     the cap keeps supercritical runs from exploding.  ``neighbors_fn(x)``
     returns vertex ids, fastest as Python ints.
     """
-    _check_set_args(lam, t_end, "cap", cap)
+    _check_set_args(lam, t_end, n_replicas, "cap", cap)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     chunk = 8192  # even: uniforms are read in pairs, so a pair never straddles a refill
     exps = rng.exponential(1.0, size=chunk).tolist()
@@ -664,7 +665,7 @@ def branching_replicas(
         raise ValueError("frontier must be 'escape' or 'absorb'")
     if n < 2:
         raise ValueError(f"branching number n must be >= 2, got n={n}")
-    _check_set_args(lam, t_end, "depth", depth)
+    _check_set_args(lam, t_end, n_replicas, "depth", depth)
     # time runs in units of 1 / (1 + lam): a row of m members waits Exp(1) / m
     horizon, p_inf = (1.0 + lam) * t_end, lam / (1.0 + lam)
     width = depth + 1

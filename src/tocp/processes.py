@@ -5,9 +5,9 @@
 * counting process ``xi``: nonnegative integers; an infect event at x
   adds the neighbour sum to x; heal zeroes x.  Exact (unbounded) Python
   integers, since values grow multiplicatively.
-* real process ``zeta``: like ``xi`` over nonnegative reals, plus a
-  deterministic exponential drift ``exp((1 - 2*lam*d) * dt)`` between
-  events, applied lazily per vertex.
+* real process ``zeta``: ``xi`` over nonnegative reals times a drift
+  ``exp((1 - 2*lam*d) * t)``, equal at every site of the 2d-regular graphs
+  it needs; its state is the drift-free floats, as in ``reals_replicas``.
 * dual set process: heal removes x; an infect event at a member x adds
   all neighbours of x (x stays).
 * branching set process: on an oriented tree; an infect event at a
@@ -23,8 +23,8 @@ time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp
+import copy
+import math
 
 import numpy as np
 
@@ -32,13 +32,11 @@ from .clocks import HEAL, ClockSchedule
 from .graphs import FiniteGraph
 
 __all__ = [
-    "ZetaState",
     "all_ones_spin",
     "all_ones_counts",
     "all_ones_zeta",
     "step_eta",
     "step_xi",
-    "step_zeta",
     "step_dual",
     "step_branch",
     "run",
@@ -61,26 +59,18 @@ def all_ones_counts(graph: FiniteGraph) -> list[int]:
     return [1] * graph.n_vertices
 
 
-@dataclass
-class ZetaState:
-    """Nonnegative reals plus per-vertex last-drift times.
-
-    ``values[x]`` is the value as of ``last_update[x]``; reading at a
-    later time multiplies by ``exp(drift * elapsed)`` exactly once per
-    elapsed interval.
-    """
-
-    values: np.ndarray
-    last_update: np.ndarray
-
-    def synced_values(self, t: float, drift: float) -> np.ndarray:
-        """Values drifted to common time ``t`` (non-mutating)."""
-        return self.values * np.exp(drift * (t - self.last_update))
+def all_ones_zeta(graph: FiniteGraph) -> list[float]:
+    """All-ones real configuration (drift-free float values)."""
+    return [1.0] * graph.n_vertices
 
 
-def all_ones_zeta(graph: FiniteGraph) -> ZetaState:
-    V = graph.n_vertices
-    return ZetaState(np.ones(V, dtype=np.float64), np.zeros(V, dtype=np.float64))
+def _zeta_drift(graph: FiniteGraph, lam, d_param) -> float:
+    """The drift rate ``1 - 2*lam*d_param``; ``ValueError`` unless ``graph`` is 2d-regular."""
+    if lam is None or d_param is None:
+        raise ValueError("zeta needs lam and d_param")
+    if graph.regular_degree != 2 * d_param:
+        raise ValueError("zeta dynamics require a 2d-regular graph")
+    return 1.0 - 2.0 * lam * d_param
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +90,8 @@ def step_eta(config, event, graph: FiniteGraph):
     return config
 
 
-def step_xi(config: list[int], event, graph: FiniteGraph) -> list[int]:
-    """Apply one event to a counting configuration (exact arithmetic)."""
+def step_xi(config: list, event, graph: FiniteGraph) -> list:
+    """Apply one event to counting values: exact ints, or drift-free zeta floats."""
     _, x, kind = event
     if kind == HEAL:
         config[x] = 0
@@ -110,32 +100,6 @@ def step_xi(config: list[int], event, graph: FiniteGraph) -> list[int]:
         for y in graph.adjacency_lists[x]:
             s += config[y]
         config[x] += s
-    return config
-
-
-def step_zeta(config: ZetaState, event, graph: FiniteGraph, lam: float, d_param: int) -> ZetaState:
-    """Apply one event to a real-valued configuration with lazy drift.
-
-    Requires a ``2 * d_param``-regular graph.  Before the update, x (and
-    for infect events its neighbours) are drift-synced to the event
-    time.
-    """
-    if graph.regular_degree != 2 * d_param:
-        raise ValueError("zeta dynamics require a 2d-regular graph")
-    t, x, kind = event
-    drift = 1.0 - 2.0 * lam * d_param
-    vals, last = config.values, config.last_update
-    if kind == HEAL:
-        vals[x] = 0.0
-        last[x] = t
-        return config
-    s = 0.0
-    for y in graph.adjacency_lists[x]:
-        vals[y] *= exp(drift * (t - last[y]))
-        last[y] = t
-        s += vals[y]
-    vals[x] = vals[x] * exp(drift * (t - last[x])) + s
-    last[x] = t
     return config
 
 
@@ -174,46 +138,44 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
 #: events turned into Python scalars at a time (a whole schedule would take megabytes)
 _EVENT_CHUNK = 4096
 
-
-def _zeta_snapshot(state: ZetaState, t: float, lam: float, d_param: int) -> ZetaState:
-    """The state drift-synced to time ``t``."""
-    drift = 1.0 - 2.0 * lam * d_param
-    return ZetaState(state.synced_values(t, drift), np.full_like(state.last_update, t))
-
-
-#: kind -> (rule(state, event, graph, lam, d_param), snapshot(state, t, lam, d_param))
+#: kind -> (rule(state, event, graph), snapshot(state)); run scales zeta snapshots
 _KINDS = {
-    "eta": (lambda s, ev, g, lam, d: step_eta(s, ev, g), lambda s, t, lam, d: s.copy()),
-    "xi": (lambda s, ev, g, lam, d: step_xi(s, ev, g), lambda s, t, lam, d: list(s)),
-    "zeta": (step_zeta, _zeta_snapshot),
-    "dual": (lambda s, ev, g, lam, d: step_dual(s, ev, g), lambda s, t, lam, d: set(s)),
-    "branch": (lambda s, ev, g, lam, d: step_branch(s, ev, g), lambda s, t, lam, d: set(s)),
+    "eta": (step_eta, copy.copy),
+    "xi": (step_xi, list),
+    "zeta": (step_xi, np.array),
+    "dual": (step_dual, set),
+    "branch": (step_branch, set),
 }
+
+
+def _check_times(schedule: ClockSchedule, observe_times) -> list:
+    """``observe_times`` as a list, if finite, sorted and within ``[0, horizon]``."""
+    obs = list(observe_times)
+    if not all(math.isfinite(b) and a <= b
+               for a, b in zip([0.0, *obs], [*obs, schedule.horizon])):
+        raise ValueError(f"observation times must be finite, sorted and within "
+                         f"[0, {schedule.horizon}], got {obs}")
+    return obs
 
 
 def _replay(schedule: ClockSchedule, observe_times, steps, observe) -> None:
     """Feed the schedule's events, in order, to every callable in ``steps``.
 
-    ``observe(t)`` runs for each sorted observation time ``t`` once all
-    events with time <= t are applied; later events are not replayed.
-    Events are ``(time, vertex, kind)``.
+    ``observe(t)`` runs for each time ``t`` of the checked list
+    ``observe_times`` once all events with time <= t are applied; later
+    events are not replayed.  Events are ``(time, vertex, kind)``.
     """
     columns = (schedule.times, schedule.vertices, schedule.kinds)
-    obs = list(observe_times)
+    stops = np.searchsorted(schedule.times, observe_times, side="right").tolist()
     lo = 0
-    for t_obs, stop in zip(obs, np.searchsorted(schedule.times, obs, side="right").tolist()):
+    for t_obs, stop in zip(observe_times, stops):
         for a in range(lo, stop, _EVENT_CHUNK):
             b = min(a + _EVENT_CHUNK, stop)
             for event in zip(*(col[a:b].tolist() for col in columns)):
                 for step in steps:
                     step(event)
-        lo = max(lo, stop)
+        lo = stop
         observe(t_obs)
-
-
-def _mismatches(eta: list, values) -> int:
-    """Sites where the spin differs from the indicator of a positive value."""
-    return sum(1 for e, v in zip(eta, values) if e != (v > 0))
 
 
 def run(
@@ -233,37 +195,51 @@ def run(
     schedule : ClockSchedule
         Drives the dynamics; deterministic replay.
     initial
-        Process state (array / list / ZetaState / set); mutated.
+        Process state (array / list / set); mutated.  For ``"zeta"``, the
+        drift-free float values ``v`` (:func:`all_ones_zeta`).
     observe_times : sequence of float
-        Sorted, within ``[0, horizon]``.  A snapshot at ``t`` reflects
-        all events with time <= t.
+        Finite, sorted, within ``[0, horizon]``; else ``ValueError``.  A
+        snapshot at ``t`` reflects all events with time <= t.
     lam, d_param
-        Required for ``kind="zeta"`` (drift rate ``1 - 2*lam*d_param``).
+        Required for ``kind="zeta"``, on a ``2 * d_param``-regular graph.
 
     Returns
     -------
     list
-        One state copy per observation time (zeta snapshots are
-        drift-synced to the observation time).
+        One state copy per observation time.  A zeta snapshot at ``t`` is
+        the float64 array ``v * exp((1 - 2*lam*d_param) * t)``, as in
+        ``reals_replicas``, whose replica 0 it gives bit for bit from
+        ``build_schedule(graph, lam, t, s)``.  Integer ``v`` below ``2**53``
+        sum exactly; ``v`` overflows once ``(2*d*lam - 1) * t > 709``, as
+        there, where a per-site drift would keep a supercritical zeta finite.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown process kind {kind!r}")
-    obs = list(observe_times)
-    if any(b < a for a, b in zip(obs, obs[1:])):
-        raise ValueError("observe_times must be sorted")
-    if obs and (obs[0] < 0 or obs[-1] > schedule.horizon):
-        raise ValueError("observation time beyond schedule horizon")
-    if kind == "zeta" and (lam is None or d_param is None):
-        raise ValueError("zeta needs lam and d_param")
+    obs = _check_times(schedule, observe_times)
+    drift = _zeta_drift(graph, lam, d_param) if kind == "zeta" else 0.0
     rule, snapshot = _KINDS[kind]
     out = []
-    _replay(schedule, obs, (lambda ev: rule(initial, ev, graph, lam, d_param),),
-            lambda t: out.append(snapshot(initial, t, lam, d_param)))
+    _replay(schedule, obs, (lambda ev: rule(initial, ev, graph),),
+            lambda t: out.append(snapshot(initial)))
+    if kind == "zeta":
+        out = [v * np.exp(drift * t) for t, v in zip(obs, out)]
     return out
 
 
 # ---------------------------------------------------------------------------
 # coupled replays
+
+
+def _coupled_counting(schedule: ClockSchedule, graph: FiniteGraph, observe_times,
+                      values: list) -> list[int]:
+    """Mismatch counts between eta and the indicator of ``values > 0``, both
+    from all ones; ``values`` (ints or floats) follow the counting rule."""
+    eta = [1] * graph.n_vertices
+    mismatches = []
+    _replay(schedule, _check_times(schedule, observe_times),
+            (lambda ev: step_eta(eta, ev, graph), lambda ev: step_xi(values, ev, graph)),
+            lambda _t: mismatches.append(sum(e != (v > 0) for e, v in zip(eta, values))))
+    return mismatches
 
 
 def coupled_run_eta_xi(schedule: ClockSchedule, graph: FiniteGraph, observe_times):
@@ -272,24 +248,13 @@ def coupled_run_eta_xi(schedule: ClockSchedule, graph: FiniteGraph, observe_time
     Both processes start from all ones and replay the same schedule; the
     coupling identity says the count is always zero.
     """
-    eta = all_ones_spin(graph).tolist()
-    xi = all_ones_counts(graph)
-    mismatches = []
-    _replay(schedule, observe_times,
-            (lambda ev: step_eta(eta, ev, graph), lambda ev: step_xi(xi, ev, graph)),
-            lambda _t: mismatches.append(_mismatches(eta, xi)))
-    return mismatches
+    return _coupled_counting(schedule, graph, observe_times, all_ones_counts(graph))
 
 
 def coupled_run_eta_zeta(
     schedule: ClockSchedule, graph: FiniteGraph, observe_times, lam: float, d_param: int
 ):
-    """Mismatch counts between eta and the indicator of zeta > 0."""
-    eta = all_ones_spin(graph).tolist()
-    zeta = all_ones_zeta(graph)
-    mismatches = []
-    _replay(schedule, observe_times,
-            (lambda ev: step_eta(eta, ev, graph),
-             lambda ev: step_zeta(zeta, ev, graph, lam, d_param)),
-            lambda _t: mismatches.append(_mismatches(eta, zeta.values)))
-    return mismatches
+    """Mismatch counts between eta and the indicator of zeta > 0, which is
+    that of its drift-free values: the drift factor is positive."""
+    _zeta_drift(graph, lam, d_param)
+    return _coupled_counting(schedule, graph, observe_times, all_ones_zeta(graph))

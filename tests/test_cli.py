@@ -372,6 +372,11 @@ def test_non_finite_time_exit_code(capsys, argv):
     assert_input_error(capsys, argv, "observation times must be finite")
 
 
+def test_horizon_beyond_the_event_bound_exit_code(capsys):
+    assert_input_error(capsys, ["simulate", *TORUS_8, "--lambda", "0.5", "--t", "1e12"],
+                       "expected event count 1.2e+13 is above 2**40")
+
+
 @pytest.mark.parametrize("grid,message", [
     ("0.1:inf:0.1", "grid must be a:b:step with finite a <= b and finite step > 0"),
     ("nan:0.9:0.1", "grid must be a:b:step with finite a <= b and finite step > 0"),

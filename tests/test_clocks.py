@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tocp import clocks
+from tocp import clocks, engines
 from tocp.clocks import (
     HEAL,
     INFECT,
@@ -45,6 +45,16 @@ def test_non_finite_inputs_rejected(monkeypatch, lam, horizon, named):
     monkeypatch.setattr(clocks, "_stream_keys", drawn)
     with pytest.raises(ValueError, match=f"need finite .* >= 0, got {named}"):
         build_schedule(build_torus(1, 4), lam, horizon, seed=1)
+
+
+def test_poisson_mean_above_2_40_rejected():
+    # 1.2e14 expected events: a count sampler with no bound would loop over
+    # 1e8 pieces of mean 2**20 before drawing a single mark
+    g = build_torus(1, 8)
+    with pytest.raises(ValueError, match=r"expected event count 1\.2e\+14 is above 2\*\*40"):
+        build_schedule(g, 0.5, 1e13, seed=0)
+    with pytest.raises(ValueError, match=r"is above 2\*\*40"):
+        engines.spin_replicas(g, 0.5, [1e13], 0, 1, 0)
 
 
 def test_global_order_and_tiebreak():

@@ -6,9 +6,9 @@ import pytest
 
 from tocp import engines
 from tocp.clocks import _GAMMA, HEAL, INFECT, ClockSchedule, _stream_keys, build_schedule
-from tocp.experiments import branching_exact
+from tocp.experiments import branching_exact, branching_survival
 from tocp.graphs import LazyTree, build_torus, build_tree
-from tocp.processes import all_ones_counts, all_ones_spin, run
+from tocp.processes import all_ones_counts, all_ones_spin, all_ones_zeta, run
 
 
 def two_sample_z(p1, n1, p2, n2):
@@ -268,6 +268,16 @@ def test_branching_rejects_bad_inputs(bad):
     args = {"lam": 0.3, "t_end": 1.0, "depth": 4, **bad}
     with pytest.raises(ValueError):
         engines.branching_replicas(3, args["lam"], args["t_end"], args["depth"], 50, seed=1)
+
+
+@pytest.mark.parametrize("n_replicas", [0, -1])
+def test_set_engines_need_a_replica(n_replicas):
+    with pytest.raises(ValueError, match="n_replicas >= 1"):
+        engines.branching_replicas(3, 0.5, 1.0, 4, n_replicas, 1)
+    with pytest.raises(ValueError, match="n_replicas >= 1"):
+        engines.set_survival_replicas(build_torus(1, 8).neighbors_fn(), 0, 0.5, 1.0, n_replicas, 1)
+    with pytest.raises(ValueError, match="n_replicas >= 1"):
+        branching_survival(3, 0.5, 1.0, 4, n_replicas, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -567,10 +577,12 @@ def test_counts_do_not_depend_on_blocks_or_replica_count(monkeypatch):
 ], ids=["ring", "torus", "tree"])
 def test_schedule_is_replica_zero(graph, cone):
     # a clock schedule holds replica 0's events: replayed to its horizon it
-    # gives replica 0 of the spin and counting engines, bit for bit
+    # gives replica 0 of the spin, counting and (on regular graphs) real
+    # engines, bit for bit
     lam, t = 0.7, 2.0
     assert (engines._radius(graph, 0, lam, t, graph.n_vertices) is not None) == cone
-    got, want = [], []
+    d = graph.params.get("d")  # None on the tree, which has no zeta
+    got, want, zgot, zwant = [], [], [], []
     for seed in range(15):
         s = build_schedule(graph, lam, t, seed)
         eta = run("eta", s, graph, all_ones_spin(graph), [t])[0]
@@ -578,7 +590,12 @@ def test_schedule_is_replica_zero(graph, cone):
         got += [eta[0], eta[3], xi[0]]
         want += [engines.spin_replicas(graph, lam, [t], x, 2, seed)[0, 0] for x in (0, 3)]
         want.append(engines.counts_replicas(graph, lam, [t], 0, 2, seed)[0, 0])
+        if d:
+            zeta = run("zeta", s, graph, all_ones_zeta(graph), [t], lam, d)[0]
+            zgot += [zeta[0], zeta[3]]
+            zwant += [engines.reals_replicas(graph, lam, d, [t], x, 2, seed)[0, 0] for x in (0, 3)]
     assert got == want
+    assert zgot == zwant
     assert 0 < sum(got[::3]) < 15  # vertex 0 survives in some replicas, not all
 
 

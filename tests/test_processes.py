@@ -7,7 +7,6 @@ import pytest
 from tocp.clocks import HEAL, INFECT, ClockSchedule, build_schedule, merged_events
 from tocp.graphs import build_torus, build_tree
 from tocp.processes import (
-    ZetaState,
     all_ones_counts,
     all_ones_spin,
     all_ones_zeta,
@@ -18,7 +17,6 @@ from tocp.processes import (
     step_dual,
     step_eta,
     step_xi,
-    step_zeta,
 )
 
 CYCLE4 = build_torus(1, 4)
@@ -68,37 +66,6 @@ def test_xi_exact_big_integers():
     st = [10**30, 10**30, 10**30, 10**30]
     step_xi(st, ev(0.1, 0, INFECT), CYCLE4)
     assert st[0] == 3 * 10**30
-
-
-def test_zeta_no_drift_at_balance():
-    # lam = 1/(2d) makes the drift exponent vanish
-    z = all_ones_zeta(CYCLE4)
-    step_zeta(z, ev(2.0, 0, HEAL), CYCLE4, lam=0.5, d_param=1)
-    assert z.values[0] == 0.0
-    assert z.values[1] == 1.0 and z.last_update[1] == 0.0
-
-
-def test_zeta_drift_halves_in_log2():
-    z = all_ones_zeta(CYCLE4)
-    t = math.log(2.0)
-    # drift 1 - 2*lam*d = -1 at lam = 1, d = 1
-    step_zeta(z, ev(t, 0, INFECT), CYCLE4, lam=1.0, d_param=1)
-    # neighbours decayed to 1/2 before summing: 0.5 + (0.5 + 0.5)
-    assert z.values[0] == pytest.approx(1.5)
-    assert z.values[1] == pytest.approx(0.5)
-
-
-def test_zeta_infect_adds_neighbor_sum():
-    z = ZetaState(np.array([0.5, 1.0, 0.0, 0.5]), np.zeros(4))
-    step_zeta(z, ev(0.0, 0, INFECT), CYCLE4, lam=0.5, d_param=1)
-    assert z.values[0] == pytest.approx(2.0)
-
-
-def test_zeta_rejects_irregular_graph():
-    g = build_tree(2, 2)
-    z = ZetaState(np.ones(g.n_vertices), np.zeros(g.n_vertices))
-    with pytest.raises(ValueError):
-        step_zeta(z, ev(0.1, 0, HEAL), g, lam=0.3, d_param=1)
 
 
 def test_dual_rules():
@@ -181,6 +148,64 @@ def test_run_snapshots_are_copies():
     assert 99 not in snaps[1]
 
 
+def one_event(t, x, kind):
+    return ClockSchedule(4, 0.5, 3.0, 0, np.array([t]), np.array([x]),
+                         np.array([kind], dtype=np.int8))
+
+
+def test_zeta_no_drift_at_balance():
+    # lam = 1/(2d) makes the drift exponent vanish
+    z = run("zeta", one_event(2.0, 0, HEAL), CYCLE4, all_ones_zeta(CYCLE4), [2.0], 0.5, 1)[0]
+    assert z.dtype == np.float64
+    assert z[0] == 0.0
+    assert z[1] == 1.0
+
+
+def test_zeta_drift_halves_in_log2():
+    t = math.log(2.0)
+    # drift 1 - 2*lam*d = -1 at lam = 1, d = 1
+    z = run("zeta", one_event(t, 0, INFECT), CYCLE4, all_ones_zeta(CYCLE4), [t], 1.0, 1)[0]
+    # neighbours decayed to 1/2 before summing: 0.5 + (0.5 + 0.5)
+    assert z[0] == pytest.approx(1.5)
+    assert z[1] == pytest.approx(0.5)
+
+
+def test_zeta_infect_adds_neighbor_sum():
+    z = run("zeta", one_event(0.0, 0, INFECT), CYCLE4, [0.5, 1.0, 0.0, 0.5], [0.0], 0.5, 1)[0]
+    assert z[0] == pytest.approx(2.0)
+
+
+def test_zeta_rejects_irregular_graph():
+    # checked up front, so a schedule without events is refused too
+    g = build_tree(2, 2)
+    empty = build_schedule(g, 0.3, 0.0, 0)
+    assert empty.n_events == 0
+    for s in (build_schedule(g, 0.3, 3.0, 0), empty):
+        with pytest.raises(ValueError, match="2d-regular"):
+            run("zeta", s, g, all_ones_zeta(g), [s.horizon], 0.3, 1)
+        with pytest.raises(ValueError, match="2d-regular"):
+            coupled_run_eta_zeta(s, g, [s.horizon], 0.3, 1)
+
+
+BAD_TIMES = {"late": [100.0], "unsorted": [4.0, 1.0], "nan": [math.nan], "inf": [math.inf],
+             "negative": [-1.0]}
+
+
+@pytest.mark.parametrize("obs", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+def test_replays_check_observation_times(obs):
+    g = build_torus(1, 8)
+    s = build_schedule(g, 0.5, 5.0, 1)
+    replays = [
+        lambda: run("eta", s, g, all_ones_spin(g), obs),
+        lambda: run("zeta", s, g, all_ones_zeta(g), obs, 0.5, 1),
+        lambda: coupled_run_eta_xi(s, g, obs),
+        lambda: coupled_run_eta_zeta(s, g, obs, 0.5, 1),
+    ]
+    for replay in replays:
+        with pytest.raises(ValueError, match="observation times"):
+            replay()
+
+
 # ---------------------------------------------------------------------------
 # couplings driven by shared schedules
 
@@ -240,27 +265,21 @@ def initial_state(kind, graph, rng):
     if kind == "xi":
         return rng.integers(0, 3, V).tolist()
     if kind == "zeta":
-        return ZetaState(rng.random(V), np.zeros(V))
+        return rng.random(V).tolist()
     return {0, 1} if kind == "dual" else {0}
 
 
-def loop_replay(kind, sched, graph, state, obs, lam, d_param):
+def loop_replay(kind, sched, graph, state, obs):
     """Snapshots of the step rules applied one by one over merged_events."""
-    rule = {"eta": step_eta, "xi": step_xi, "dual": step_dual, "branch": step_branch}.get(kind)
+    rule = {"eta": step_eta, "xi": step_xi, "zeta": step_xi, "dual": step_dual,
+            "branch": step_branch}[kind]
     events = list(merged_events(sched))
     snaps, i = [], 0
     for t in obs:
         while i < len(events) and events[i][0] <= t:
-            if kind == "zeta":
-                step_zeta(state, events[i], graph, lam, d_param)
-            else:
-                rule(state, events[i], graph)
+            rule(state, events[i], graph)
             i += 1
-        if kind == "zeta":
-            drift = 1.0 - 2.0 * lam * d_param
-            snaps.append(ZetaState(state.synced_values(t, drift), np.full(graph.n_vertices, t)))
-        else:
-            snaps.append(copy.deepcopy(state))
+        snaps.append(copy.deepcopy(state))
     return snaps, state
 
 
@@ -275,23 +294,19 @@ def test_run_equals_loop_of_step_rules(kind, graph):
     for seed in range(3):
         sched = build_schedule(graph, lam, 4.0, seed)
         init = initial_state(kind, graph, np.random.default_rng(seed))
-        want, final = loop_replay(kind, sched, graph, copy.deepcopy(init), obs, lam, d_param)
+        want, final = loop_replay(kind, sched, graph, copy.deepcopy(init), obs)
         got = run(kind, sched, graph, init, obs, lam, d_param)
         assert len(got) == len(want)
-        for a, b in zip(got, want):
+        for t, a, b in zip(obs, got, want):
+            if kind == "zeta":  # drift-free values, scaled as reals_replicas scales them
+                b = np.array(b) * np.exp((1.0 - 2.0 * lam * d_param) * t)
             assert type(a) is type(b)
-            if kind == "eta":
+            if kind in ("eta", "zeta"):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            elif kind == "zeta":
-                assert np.array_equal(a.values, b.values)
-                assert np.array_equal(a.last_update, b.last_update)
             else:
                 assert a == b
         # the initial state is advanced to the last observation, as documented
-        if kind == "zeta":
-            assert np.array_equal(init.values, final.values)
-            assert np.array_equal(init.last_update, final.last_update)
-        elif kind == "eta":
+        if kind == "eta":
             assert np.array_equal(init, final)
         else:
             assert init == final
