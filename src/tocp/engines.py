@@ -35,20 +35,26 @@ the engines share their random numbers: with equal arguments
 ``exp((1 - 2*lam*d) * t)`` up to float64 rounding.  A clock schedule
 holds replica 0's events (:func:`tocp.clocks.build_schedule`).
 
-Light cone: the spin and threshold folds are monotone, so a run on the
-ball ``B_r(x)`` around the observed vertex, from the same streams, with
-the cells outside held at the blank value gives a lower bound and with
-them held at the full value an upper bound on the full graph's value at
-every ball cell (the sandwich of monotone coupling from the past; Propp
-& Wilson, *Random Struct. Alg.* 9, 1996).  Such a run reads each
-replica's whole mark stream but folds only the events at ball vertices.
-Where the two bounds agree at ``x`` at every observation time they are
-the value, bit for bit; only the replicas where they differ are rerun
-on the full graph.  The radius is a speed choice (:func:`_radius`: the
-distance a chain of infect events covers by the last observation time,
-with the full graph where the ball is not much smaller or where the
-horizon is long, since full-graph rows stop once absorbed), not a
-parameter: the output is the same for every radius.
+Light cone: each run goes first to the ball ``B_r(x)`` around the
+observed vertex, from the same streams, twice: with the cells outside
+held at the blank value (``low``) and at the full value (``high``).  It
+reads each replica's whole mark stream but folds only the events at ball
+vertices.  Where ``low`` and ``high`` agree at ``x`` at every observation
+time they are the full graph's value, bit for bit; only the other
+replicas are rerun on the full graph.  The max and min-max folds are
+monotone, so the two bracket the full value (the sandwich of monotone
+coupling from the past; Propp & Wilson, *Random Struct. Alg.* 9, 1996).
+A sum is affine in the values it reads outside, with nonnegative integer
+coefficients, so ``high - low`` is their sum and agreement means that
+``x`` read nothing from outside.  Float64 sums agree only below
+``2**53``: each value feeding ``x`` is an integer at most ``x``'s, so
+their sums are exact.  An int64 guard trip on the ball leaves its block
+to the full graph, whose guard decides; a row settled on the ball is
+guarded on the ball alone.  The radius is a speed choice
+(:func:`_radius`: the distance a chain of infect events covers by the
+last observation time, with the full graph where the ball is not much
+smaller or where the horizon is long, since full-graph rows stop once
+absorbed), not a parameter: the output is the same for every radius.
 
 The threshold fold runs every rate up to ``lam_max`` at once.  The spin
 process is attractive and thinning is a monotone coupling (Liggett,
@@ -102,11 +108,14 @@ _CHUNK_CELLS = 256 * 1024  # gather indices or stream values prepared ahead (2 M
 _SPLIT_ROWS = 1024
 # Light cone (see _radius): radius _CONE_MARGIN + ceil(_CONE_SPEED * lam * t),
 # on graphs with at least _BALL_GAIN times the ball's vertices.  On tree(3, 8)
-# at lam = 0.4, t = 3 that is radius 4, where the bounds differed on none of
-# 300 rows and on about 0.06% of 20k.
+# at lam = 0.4, t = 3 that is radius 4, where the spin bounds differed on none
+# of 300 rows and on about 0.06% of 20k.  Gain 8 admits counts on torus(2, 16)
+# at lam = 0.3, t = 1 (radius 2, 13 of 256 vertices: 2.6 s -> 0.9 s for 100k
+# rows, 1.9% rerun) and spin on torus(2, 32) at t = 10 (radius 7, 113 of 1024:
+# 1.5 s -> 0.9 s for 2000 rows); radius 15 there stays on the full graph.
 _CONE_SPEED = 2.0
 _CONE_MARGIN = 1
-_BALL_GAIN = 32
+_BALL_GAIN = 8
 # ... and to horizons of at most _CONE_HORIZON * (1 + ln m) from m non-blank
 # cells.  Near that horizon (t = 40), with lam <= 0.2 and r = 2, a light-cone
 # run of 300 rows took 0.10-0.50 of the full graph's time on tree(3, 8) and
@@ -181,8 +190,8 @@ def _ball(graph: FiniteGraph, x: int, r: int) -> np.ndarray:
 
 
 def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float, m: int) -> int | None:
-    """Light-cone radius for a spin or threshold run to ``t_end`` from ``m``
-    non-blank cells, or ``None`` for the full graph.
+    """Light-cone radius for a run to ``t_end`` from ``m`` non-blank cells,
+    or ``None`` for the full graph.
 
     The full graph runs where the ball is not much smaller than the graph,
     and at long horizons: a light-cone row reads its whole stream, but a
@@ -210,9 +219,11 @@ class _Kernel:
         rate = self.V * (1.0 + lam)
         self.tables = [_poisson_table(rate * dt) if dt > 0 else None
                        for dt in np.diff(obs, prepend=0.0)]
-        self.headroom = None
+        self.headroom = self.exact = None
         if fold is np.add and np.issubdtype(dtype, np.integer):
             self.headroom = np.iinfo(dtype).max // self.w
+        elif fold is np.add:
+            self.exact = 2.0**53  # float64 sums of integers are exact below it
         self.blank, self.full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
         self.init = np.full(self.V + 1, self.blank, dtype=dtype)
         self.init[: self.V] = self.full if initial is None else np.asarray(initial, dtype=dtype)
@@ -253,8 +264,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     below ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices,
     so no sum can wrap, and a larger result raises ``RuntimeError``.
 
-    The monotone folds run on a light cone first (:func:`_cone`) and
-    rerun on the full graph only the rows it leaves open.
+    Every fold runs on a light cone first (:func:`_cone`) and reruns on
+    the full graph only the rows it leaves open.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"need finite lam >= 0, got lam={lam}")
@@ -264,11 +275,10 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     kern = _Kernel(graph, lam, obs, observe_vertex, seed, fold, dtype, initial)
     out = np.full((len(obs), n_replicas), kern.blank, dtype=dtype)
     rows = np.arange(n_replicas)
-    if fold is not np.add:
-        m = int(np.count_nonzero(kern.init[: kern.V] != kern.blank))
-        r = _radius(graph, observe_vertex, lam, obs[-1], m)
-        if r is not None:
-            rows = _cone(kern, _ball(graph, observe_vertex, r), rows, out)
+    m = int(np.count_nonzero(kern.init[: kern.V] != kern.blank))
+    r = _radius(graph, observe_vertex, lam, obs[-1], m)
+    if r is not None:
+        rows = _cone(kern, _ball(graph, observe_vertex, r), rows, out)
     _full(kern, rows, out)
     return out
 
@@ -326,11 +336,12 @@ def _cone(kern, ball, rows, out):
 
     Each row reads its whole event stream but folds only the events at
     ball vertices, into two states: cells outside the ball held at the
-    blank value, and at the full value.  The folds are monotone, so the
-    two bracket the full-graph value at every ball cell (Propp & Wilson,
-    *Random Struct. Alg.* 9, 1996).  Where they agree at the observed
-    vertex at every observation time, they equal it, bit for bit, and go
-    to ``out``; the rows where they differ are returned.
+    blank value, and at the full value.  Where the two agree at the
+    observed vertex at every observation time, they equal the full-graph
+    value, bit for bit (see the module docstring), and go to ``out``;
+    the rows where they differ are returned, and so is every row of a
+    block whose int64 guard trips.  ``out`` keeps the lower run's value
+    of an open row, which is blank wherever the full-graph row is.
     """
     V, blank = kern.V, kern.blank
     nb = len(ball)
@@ -367,30 +378,35 @@ def _cone(kern, ball, rows, out):
         flat = state.reshape(-1)
         off = np.arange(2 * k) * stride
         agree = np.ones(k, dtype=bool)
-        for j, table in enumerate(kern.tables):
-            if table is not None:
-                n_ev = _event_counts(count_keys, j, table)
-                for s in range(0, int(n_ev.max()), seg):
-                    c = int(min(seg, n_ev.max() - s))
-                    parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
-                                   in_ball, loc, g) for g in range(0, k, group)]
-                    i, u, q = (np.concatenate(a) for a in zip(*parts))
-                    if len(i) == 0:
-                        continue
-                    # pass e applies each row's e-th ball event; shorter rows pad
-                    # with heal events at the phantom
-                    per_row = np.bincount(i, minlength=k)
-                    e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
-                    m = int(per_row.max())
-                    pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
-                    pq = np.ones((m, k, 2))
-                    pu[e, i] = u[:, None]
-                    pq[e, i] = q[:, None]
-                    kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
-                base += _steps(n_ev)
-            low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
-            out[j, ids] = low
-            agree &= low == high
+        try:
+            for j, table in enumerate(kern.tables):
+                if table is not None:
+                    n_ev = _event_counts(count_keys, j, table)
+                    for s in range(0, int(n_ev.max()), seg):
+                        c = int(min(seg, n_ev.max() - s))
+                        parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
+                                       in_ball, loc, g) for g in range(0, k, group)]
+                        i, u, q = (np.concatenate(a) for a in zip(*parts))
+                        if len(i) == 0:
+                            continue
+                        # pass e applies each row's e-th ball event; shorter rows
+                        # pad with heal events at the phantom
+                        per_row = np.bincount(i, minlength=k)
+                        e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
+                        m = int(per_row.max())
+                        pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
+                        pq = np.ones((m, k, 2))
+                        pu[e, i] = u[:, None]
+                        pq[e, i] = q[:, None]
+                        kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
+                    base += _steps(n_ev)
+                low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
+                out[j, ids] = low
+                agree &= low == high
+                if kern.exact:
+                    agree &= high < kern.exact
+        except RuntimeError:  # the int64 guard, which only the full graph decides
+            agree[:] = False
         open_rows.append(ids[~agree])
     return np.concatenate(open_rows)
 
@@ -503,12 +519,12 @@ def counts_replicas(
 
     Starts from all ones.  Values are int64, kept at or below
     ``iinfo(int64).max // (max_degree + 1)`` so no neighbourhood sum can
-    wrap; a replica that would exceed it raises ``RuntimeError``.  The
-    mean grows like ``exp(t * (2*d*lam - 1))`` on a 2d-regular graph, so
-    supercritical horizons do trip it (``torus(4, 3)`` at ``lam = 1``,
-    ``t = 6`` does with 1000 replicas); use the schedule-driven
-    exact-integer path for those.  Returns shape
-    ``(len(obs_times), n_replicas)``.
+    wrap; a replica that would exceed it raises ``RuntimeError`` (one
+    settled on the light cone, on the ball's cells).  The mean grows like
+    ``exp(t * (2*d*lam - 1))`` on a 2d-regular graph, so supercritical
+    horizons do trip it (``torus(4, 3)`` at ``lam = 1``, ``t = 6`` does
+    with 1000 replicas); use the schedule-driven exact-integer path for
+    those.  Returns shape ``(len(obs_times), n_replicas)``.
     """
     return _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas,
                      seed, np.add, np.int64)

@@ -113,6 +113,11 @@ def step_dual(aset: set, event, graph: FiniteGraph) -> set:
     return aset
 
 
+def _require_sons(graph: FiniteGraph) -> None:
+    if graph.kind != "tree":
+        raise ValueError("branching process requires a tree with oriented sons")
+
+
 def step_branch(sset: set, event, graph: FiniteGraph) -> set:
     """Apply one event to the branching set process (oriented tree only).
 
@@ -121,8 +126,7 @@ def step_branch(sset: set, event, graph: FiniteGraph) -> set:
     which makes the truncated process a lower bound of the unbounded
     one.
     """
-    if graph.kind != "tree":
-        raise ValueError("branching process requires a tree with oriented sons")
+    _require_sons(graph)
     _, x, kind = event
     if kind == HEAL:
         sset.discard(x)
@@ -217,6 +221,8 @@ def run(
         raise ValueError(f"unknown process kind {kind!r}")
     obs = _check_times(schedule, observe_times)
     drift = _zeta_drift(graph, lam, d_param) if kind == "zeta" else 0.0
+    if kind == "branch":
+        _require_sons(graph)
     rule, snapshot = _KINDS[kind]
     out = []
     _replay(schedule, obs, (lambda ev: rule(initial, ev, graph),),

@@ -134,11 +134,14 @@ def test_counts_values_are_nonnegative_ints():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_counts_headroom_guard_trips(seed):
-    # mean exp(6 * (8 - 1)) ~ 1.7e18 exceeds the headroom int64.max // 9
+def test_counts_headroom_guard_trips(monkeypatch, seed):
+    # mean exp(6 * (8 - 1)) ~ 1.7e18 exceeds the headroom int64.max // 9,
+    # on the full graph and where the light cone leaves rows to it
     g = build_torus(4, 3)
-    with pytest.raises(RuntimeError):
-        engines.counts_replicas(g, 1.0, [6.0], 0, 1_000, seed)
+    for radius in (None, 1):
+        monkeypatch.setattr(engines, "_radius", lambda *args: radius)
+        with pytest.raises(RuntimeError):
+            engines.counts_replicas(g, 1.0, [6.0], 0, 1_000, seed)
 
 
 def test_reals_mean_is_conserved():
@@ -509,11 +512,15 @@ def test_lockstep_engines_reject_non_finite_times(engine, times):
 # per-replica streams and the light cone
 
 
-def _spin_or_threshold(engine, graph, x, n, seed=5):
+def _lockstep_run(engine, graph, x, n, seed=5):
     lam, obs = 0.6, [0.0, 0.4, 1.0, 1.0, 2.5]
     if engine == "spin":
         initial = (np.arange(graph.n_vertices) % 3 != 1).astype(np.uint8)
         return engines.spin_replicas(graph, lam, obs, x, n, seed, initial=initial)
+    if engine == "counts":
+        return engines.counts_replicas(graph, lam, obs, x, n, seed)
+    if engine == "reals":
+        return engines.reals_replicas(graph, lam, 2, obs, x, n, seed)
     return engines.threshold_replicas(graph, lam, obs, x, n, seed)
 
 
@@ -521,14 +528,18 @@ SMALL_GRAPHS = {"tree(2,4)": (build_tree(2, 4), 5), "tree(3,5)": (build_tree(3, 
                 "torus(2,6)": (build_torus(2, 6), 8)}
 
 
-@pytest.mark.parametrize("engine", ["spin", "threshold"])
-@pytest.mark.parametrize("name", list(SMALL_GRAPHS))
+@pytest.mark.parametrize("name,engine", [
+    pytest.param(name, engine, id=f"{name}-{engine}")
+    for name in SMALL_GRAPHS for engine in ("spin", "threshold", "counts", "reals")
+    if engine != "reals" or name == "torus(2,6)"  # zeta needs a 2d-regular graph
+])
 def test_lockstep_output_does_not_depend_on_blocks_or_radius(monkeypatch, name, engine):
     graph, x = SMALL_GRAPHS[name]
     n = 600
     monkeypatch.setattr(engines, "_radius", lambda *args: None)
-    want = _spin_or_threshold(engine, graph, x, n)
-    if engine == "spin":
+    want = _lockstep_run(engine, graph, x, n)
+    assert want.dtype == {"spin": np.uint8, "counts": np.int64}.get(engine, np.float64)
+    if engine != "threshold":
         assert want[-1].any() and not want[-1].all()
     settings = [
         {"_radius": lambda *args: 1},  # many rows left open and rerun
@@ -540,17 +551,18 @@ def test_lockstep_output_does_not_depend_on_blocks_or_radius(monkeypatch, name, 
     for setting in settings:
         for attr, value in setting.items():
             monkeypatch.setattr(engines, attr, value)
-        assert np.array_equal(_spin_or_threshold(engine, graph, x, n), want), setting
+        got = _lockstep_run(engine, graph, x, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), setting
 
 
 @pytest.mark.parametrize("engine", ["spin", "threshold"])
 @pytest.mark.parametrize("name", list(SMALL_GRAPHS))
 def test_lockstep_replica_does_not_depend_on_replica_count(name, engine):
     graph, x = SMALL_GRAPHS[name]
-    few = _spin_or_threshold(engine, graph, x, 60)
-    many = _spin_or_threshold(engine, graph, x, 600)
+    few = _lockstep_run(engine, graph, x, 60)
+    many = _lockstep_run(engine, graph, x, 600)
     assert np.array_equal(many[:, :60], few)
-    assert np.array_equal(_spin_or_threshold(engine, graph, x, 1), few[:, :1])
+    assert np.array_equal(_lockstep_run(engine, graph, x, 1), few[:, :1])
     # a replica rerun alone on the full graph, as the light cone reruns open rows
     fold, dtype = (np.maximum, np.uint8) if engine == "spin" else (np.minimum, np.float64)
     initial = (np.arange(graph.n_vertices) % 3 != 1) if engine == "spin" else None
@@ -637,27 +649,60 @@ def test_light_cone_folds_a_small_share_of_the_events(monkeypatch):
     out = engines.spin_replicas(g, lam, [t], 0, n, seed=7)
     assert sum(folded) < n * g.n_vertices * (1 + lam) * t / 10
     assert rerun == [0] and 0.1 < out.mean() < 0.4
-    # where rows die early and the ball is not much smaller, the full graph runs
+    # where the ball is not much smaller than the graph, the full graph runs
     torus = build_torus(2, 32)
-    assert engines._radius(torus, 0, 0.3, 10.0, torus.n_vertices) is None
+    assert engines._radius(torus, 0, 0.7, 10.0, torus.n_vertices) is None
     # and where full-graph rows retire long before the horizon
     assert engines._radius(g, 0, 0.005, 200.0, g.n_vertices) is None
     assert engines._radius(g, 0, 0.0, 1e7, g.n_vertices) is None
     monkeypatch.setattr(engines, "_cone", None)  # a light-cone run would raise TypeError
-    engines.spin_replicas(torus, 0.3, [10.0], 0, 20, seed=7)
+    engines.spin_replicas(torus, 0.7, [10.0], 0, 20, seed=7)
 
 
-def test_light_cone_runs_equal_the_full_graph_counts():
+def test_light_cone_runs_equal_the_full_graph_counts(monkeypatch):
     # on the benchmark's tree the spin and threshold runs take the light
-    # cone and the counting run the full graph: the couplings still hold
-    # replica by replica
+    # cone and the counting run is held to the full graph: the couplings
+    # still hold replica by replica
     g, lam, obs, n = build_tree(3, 8), 0.4, [1.0, 3.0], 150
     assert engines._radius(g, 0, lam, obs[-1], g.n_vertices) is not None
     spin = engines.spin_replicas(g, lam, obs, 0, n, seed=9)
-    assert np.array_equal(spin, (engines.counts_replicas(g, lam, obs, 0, n, seed=9) > 0))
     levels = engines.threshold_replicas(g, lam, obs, 0, n, seed=9)
     assert np.array_equal((levels < lam / (1.0 + lam)).astype(np.uint8), spin)
     assert spin[-1].any() and not spin[-1].all()
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    assert np.array_equal(spin, (engines.counts_replicas(g, lam, obs, 0, n, seed=9) > 0))
+
+
+def test_light_cone_sums_need_exact_floats():
+    # Above 2**53 a float64 sum rounds away the 1 that the upper run reads
+    # outside the ball, so the bounds agree although the observed vertex
+    # read outside: such rows stay open.  The ball is the vertex alone, and
+    # from 2**57 everywhere only the rows where it reads 0 are settled.
+    g, x, n, obs = build_torus(2, 6), 8, 200, np.array([0.5, 1.0])
+    kern = engines._Kernel(g, 0.6, obs, x, 5, np.add, np.float64, np.full(36, 2.0**57))
+    rows, ball = np.arange(n), np.array([x])
+    out, full = np.zeros((2, 2, n))
+    engines._full(kern, rows, full)
+    settled = np.setdiff1d(rows, engines._cone(kern, ball, rows, out))
+    assert np.array_equal(settled, np.flatnonzero((full == 0).all(axis=0)))
+    assert np.array_equal(out[:, settled], full[:, settled])
+    kern.exact = None  # without the rule, more rows would be settled, some wrongly
+    settled = np.setdiff1d(rows, engines._cone(kern, ball, rows, out))
+    assert (out[:, settled] != full[:, settled]).any()
+
+
+def test_light_cone_guard_trip_reruns_the_block():
+    # a guard trip on the ball leaves the block's rows to the full graph,
+    # whose own guard decides: a headroom lowered for the cone alone raises nothing
+    g, x, n, obs = build_torus(2, 6), 8, 300, np.array([0.5, 1.0])
+    want = engines.counts_replicas(g, 0.6, obs, x, n, seed=5)
+    kern = engines._Kernel(g, 0.6, obs, x, 5, np.add, np.int64, None)
+    headroom, kern.headroom = kern.headroom, 1  # any infect event with an infected neighbour
+    rows, out = np.arange(n), np.zeros((2, n), dtype=np.int64)
+    assert np.array_equal(engines._cone(kern, engines._ball(g, x, 1), rows, out), rows)
+    kern.headroom = headroom
+    engines._full(kern, rows, out)
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("radius", [4, None])

@@ -95,6 +95,11 @@ def test_branch_rules():
 def test_branch_requires_orientation():
     with pytest.raises(ValueError):
         step_branch({0}, ev(0.1, 0, INFECT), CYCLE4)
+    # the replay checks once, up front, so a schedule without events is refused too
+    ring = build_torus(1, 8)
+    for horizon in (0.0, 1.0):
+        with pytest.raises(ValueError, match="oriented sons"):
+            run("branch", build_schedule(ring, 0.5, horizon, 0), ring, {0}, [horizon])
 
 
 # ---------------------------------------------------------------------------
