@@ -41,7 +41,9 @@ held at the blank value (``low``) and at the full value (``high``).  It
 reads each replica's whole mark stream but folds only the events at ball
 vertices.  Where ``low`` and ``high`` agree at ``x`` at every observation
 time they are the full graph's value, bit for bit; only the other
-replicas are rerun on the full graph.  The max and min-max folds are
+replicas are rerun, on the ball of radius ``r + ceil(r/2)`` while it
+holds at most half the graph and then on the full graph, so one open row
+need not pay a whole full-graph run.  The max and min-max folds are
 monotone, so the two bracket the full value (the sandwich of monotone
 coupling from the past; Propp & Wilson, *Random Struct. Alg.* 9, 1996).
 A sum is affine in the values it reads outside, with nonnegative integer
@@ -197,8 +199,9 @@ def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float, m: int) -> int
     and at long horizons: a light-cone row reads its whole stream, but a
     full-graph row stops once all its cells are blank, which from ``m``
     cells takes at least the last of ``m`` unit-rate heals, about
-    ``ln m`` time units.  A speed choice only: the output is the same for
-    every radius.
+    ``ln m`` time units.  Rows the ball leaves open try wider balls
+    before the full graph (:func:`_lockstep`).  A speed choice only: the
+    output is the same for every radius.
     """
     if m == 0 or t_end > _CONE_HORIZON * (1.0 + math.log(m)):
         return None
@@ -264,8 +267,10 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     below ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices,
     so no sum can wrap, and a larger result raises ``RuntimeError``.
 
-    Every fold runs on a light cone first (:func:`_cone`) and reruns on
-    the full graph only the rows it leaves open.
+    Every fold runs on a light cone first (:func:`_cone`).  Rows it
+    leaves open run again on the ball of radius ``r + ceil(r/2)`` while
+    that ball is larger and holds at most half the graph; only the rows
+    still open then run on the full graph.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"need finite lam >= 0, got lam={lam}")
@@ -277,8 +282,13 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     rows = np.arange(n_replicas)
     m = int(np.count_nonzero(kern.init[: kern.V] != kern.blank))
     r = _radius(graph, observe_vertex, lam, obs[-1], m)
-    if r is not None:
-        rows = _cone(kern, _ball(graph, observe_vertex, r), rows, out)
+    ball = None if r is None else _ball(graph, observe_vertex, r)
+    while ball is not None and len(rows):
+        rows = _cone(kern, ball, rows, out)
+        # open rows try a wider ball while it grows and holds at most half the graph
+        r += math.ceil(r / 2)
+        wider = _ball(graph, observe_vertex, r)
+        ball = wider if len(ball) < len(wider) <= kern.V // 2 else None
     _full(kern, rows, out)
     return out
 

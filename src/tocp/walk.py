@@ -59,6 +59,9 @@ _E_HI = Fraction(27182818284590453, 10**16)
 
 _EXACT_GUARD = 80_000  # refuse exact mode beyond n * d of this size
 
+# cells of one row block of the collision-series table (2 MiB per float64 array)
+_COLLISION_CELLS = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # return probabilities
@@ -67,18 +70,31 @@ _EXACT_GUARD = 80_000  # refuse exact mode beyond n * d of this size
 def _walk_pair_counts(d: int, n_max: int) -> list[int]:
     """Exact W_d(n) = sum over axis allocations of multinomial(n; m)**2.
 
-    Computed by the convolution W_j(s) = sum_m C(s, m)**2 W_{j-1}(s - m)
-    in Python integers; ``p(2n) = C(2n, n) * W_d(n) / (2d)**(2n)``.
+    Splitting the d axes into groups of a and b axes gives the join
+    ``W_{a+b}(s) = sum_m C(s, m)**2 W_a(m) W_b(s - m)``, since a
+    multinomial over a + b axes is ``C(s, m)`` times one over each group.
+    ``W_d`` is built along the bits of d from ``W_1 = 1``: a squaring
+    (a -> 2a) per bit after the leading one and a join with ``W_1``
+    (a -> a + 1) per further set bit, so ``floor(log2 d) + popcount(d) - 1``
+    joins in Python integers where one axis at a time takes d - 1.
+    ``p(2n) = C(2n, n) * W_d(n) / (2d)**(2n)``.
     Returns ``[W_d(0), ..., W_d(n_max)]``.
     """
     comb2 = [[math.comb(s, m) ** 2 for m in range(s + 1)] for s in range(n_max + 1)]
+
+    def square(a):  # the terms m and s - m are equal: sum half of them, twice
+        return [2 * sum(c * a[m] * a[s - m] for m, c in enumerate(comb2[s][: (s + 1) // 2]))
+                + (comb2[s][s // 2] * a[s // 2] ** 2 if s % 2 == 0 else 0)
+                for s in range(n_max + 1)]
+
+    def add_axis(a):  # the join with W_1 = 1
+        return [sum(c * a[m] for m, c in enumerate(comb2[s])) for s in range(n_max + 1)]
+
     W = [1] * (n_max + 1)
-    for _ in range(1, d):
-        prev = W
-        W = [
-            sum(comb2[s][m] * prev[s - m] for m in range(s + 1))
-            for s in range(n_max + 1)
-        ]
+    for bit in bin(d)[3:]:
+        W = square(W)
+        if bit == "1":
+            W = add_axis(W)
     return W
 
 
@@ -104,22 +120,40 @@ def _central_binomial_over_4n(n_max: int) -> np.ndarray:
 def _allocation_collision(d: int, n_max: int) -> np.ndarray:
     """B_d(n): collision probability of two uniform d-axis allocations of n items.
 
-    B_1 = 1; B_j(k) = sum_m binom_pmf(m; k, 1/j)**2 * B_{j-1}(k - m).
-    All values lie in (0, 1].
+    B_1 = 1; B_j(k) = sum_m binom_pmf(m; k, 1/j)**2 * B_{j-1}(k - m): the
+    split of the j axes into one axis (m items) and the other j - 1, the
+    one-axis case of the join in :func:`_walk_pair_counts`.  The ``(k, m)``
+    table is taken in row blocks of at most ``_COLLISION_CELLS`` cells and
+    never held whole; in each block ``log C(k, m)`` is evaluated once, and
+    each axis is one numpy step over the lower triangle ``m <= k`` with
+    ``B_j(k)`` a row sum.  All values lie in (0, 1].
     """
     lg = gammaln(np.arange(n_max + 2, dtype=np.float64))
-    B = np.ones(n_max + 1)
-    for j in range(2, d + 1):
-        prev = B
-        B = np.empty(n_max + 1)
-        B[0] = 1.0
-        lp, lq = math.log(1.0 / j), math.log(1.0 - 1.0 / j)
-        for k in range(1, n_max + 1):
-            m = np.arange(k + 1)
-            logpmf = lg[k + 1] - lg[m + 1] - lg[k - m + 1] + m * lp + (k - m) * lq
-            pmf = np.exp(logpmf)
-            B[k] = float(np.dot(pmf * pmf, prev[k::-1]))
-    return B
+    B = np.ones((d, n_max + 1))  # row j - 1 holds B_j
+    k0 = 1
+    while k0 <= n_max:
+        # rows k0 .. k1 - 1 over the columns m = 0 .. k1 - 1: (k1 - k0) * k1 cells
+        rows = (math.isqrt(k0 * k0 + 4 * _COLLISION_CELLS) - k0) // 2
+        k1 = min(n_max + 1, k0 + max(1, rows))
+        k = np.arange(k0, k1)[:, None]
+        m = np.arange(k1)
+        r = np.maximum(k - m, 0)  # k - m, clipped where m > k
+        # log C(k, m), shared by every axis; -inf where m > k, so those cells add 0
+        logc = lg[k + 1] - lg[m + 1] - lg[r + 1]
+        np.copyto(logc, -np.inf, where=m > k)
+        rf = r.astype(np.float64)
+        # B_j on these rows reads B_{j-1} on rows up to k1 - 1: earlier blocks
+        # and this block's previous axis
+        for j in range(2, d + 1):
+            lp, lq = math.log(1.0 / j), math.log(1.0 - 1.0 / j)
+            pmf = logc + m * lp
+            pmf += rf * lq
+            np.exp(pmf, out=pmf)
+            pmf *= pmf
+            pmf *= B[j - 2].take(r)
+            B[j - 1, k0:k1] = pmf.sum(axis=1)
+        k0 = k1
+    return B[-1]
 
 
 def return_probabilities(d: int, n_max: int) -> np.ndarray:

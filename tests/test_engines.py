@@ -659,6 +659,31 @@ def test_light_cone_folds_a_small_share_of_the_events(monkeypatch):
     engines.spin_replicas(torus, 0.7, [10.0], 0, 20, seed=7)
 
 
+def test_open_light_cone_rows_widen_before_the_full_graph(monkeypatch):
+    # at seed 22 the radius-4 ball leaves one of 300 rows open; the radius-6
+    # ball settles it, so the full graph runs no row, and the output is the
+    # full graph's
+    g, lam, t, n = build_tree(3, 8), 0.4, 3.0, 300
+    coned, rerun = [], []
+    kernel_cone, kernel_full = engines._cone, engines._full
+
+    def cone(kern, ball, rows, out):
+        coned.append((len(ball), len(rows)))
+        return kernel_cone(kern, ball, rows, out)
+
+    def full(kern, rows, out):
+        rerun.append(len(rows))
+        return kernel_full(kern, rows, out)
+
+    monkeypatch.setattr(engines, "_cone", cone)
+    monkeypatch.setattr(engines, "_full", full)
+    out = engines.spin_replicas(g, lam, [t], 0, n, seed=22)
+    assert coned == [(121, n), (1093, 1)] and rerun == [0]
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    assert np.array_equal(engines.spin_replicas(g, lam, [t], 0, n, seed=22), out)
+    assert rerun[1:] == [n]
+
+
 def test_light_cone_runs_equal_the_full_graph_counts(monkeypatch):
     # on the benchmark's tree the spin and threshold runs take the light
     # cone and the counting run is held to the full graph: the couplings

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gamma, ive
+from scipy.special import gamma, gammaln, ive
 
 from series_oracle import green_series, one_axis_pmf
 from tocp import walk
@@ -66,12 +66,65 @@ def test_exact_resource_guard():
         walk.p_return_exact(100, 10_000)
 
 
+def one_axis_pair_counts(d, n_max):
+    """W_d by adding one axis at a time: W_j(s) = sum_m C(s, m)**2 W_{j-1}(s - m)."""
+    W = [1] * (n_max + 1)
+    for _ in range(1, d):
+        W = [sum(math.comb(s, m) ** 2 * W[s - m] for m in range(s + 1)) for s in range(n_max + 1)]
+    return W
+
+
+def one_k_at_a_time_collision(d, n_max):
+    """B_d(k), one numpy dot product per axis and k."""
+    lg = gammaln(np.arange(n_max + 2, dtype=np.float64))
+    B = np.ones(n_max + 1)
+    for j in range(2, d + 1):
+        prev, B = B, np.ones(n_max + 1)
+        lp, lq = math.log(1.0 / j), math.log(1.0 - 1.0 / j)
+        for k in range(1, n_max + 1):
+            m = np.arange(k + 1)
+            pmf = np.exp(lg[k + 1] - lg[m + 1] - lg[k - m + 1] + m * lp + (k - m) * lq)
+            B[k] = float(np.dot(pmf * pmf, prev[k::-1]))
+    return B
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 60, 61, 64])
+def test_pair_counts_by_splitting_equal_one_axis_steps(d):
+    # powers of two take squarings only; odd d ends on a join with W_1
+    assert walk._walk_pair_counts(d, 2 * d + 3) == one_axis_pair_counts(d, 2 * d + 3)
+
+
 def test_float_dp_matches_exact():
-    for d in (1, 2, 3, 5):
-        p = walk.return_probabilities(d, 30)
-        for n in (1, 2, 5, 17, 30):
+    for d, n_max in ((1, 30), (2, 30), (3, 30), (5, 30), (10, 60), (20, 60)):
+        p = walk.return_probabilities(d, n_max)
+        for n in (1, 2, 5, 17, 30, n_max):
             want = float(walk.p_return_exact(d, n))
             assert abs(p[n - 1] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("cells", [None, 100])
+def test_collision_blocks_match_one_k_at_a_time(monkeypatch, cells):
+    # 100 cells splits n = 300 into 267 blocks of 9 rows down to one; from
+    # k = 100 on, a single row is longer than the bound
+    if cells:
+        monkeypatch.setattr(walk, "_COLLISION_CELLS", cells)
+    for d in (2, 3, 10):
+        for n_max in (1, 7, 300):
+            got = walk._allocation_collision(d, n_max)
+            want = one_k_at_a_time_collision(d, n_max)
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_collision_series_traced_memory_is_small():
+    # the whole (k, m) table at n = 4000 would take about 0.5 GB
+    tracemalloc.start()
+    try:
+        p = walk.return_probabilities(4, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert (p > 0).all() and (np.diff(p) < 0).all()
 
 
 def test_return_probabilities_decay_monotonically():
