@@ -15,6 +15,22 @@ offset ``b`` is chosen from the hitting probability of a neighbour; its
 range ratio ``(1 + b)/b`` then bounds the second moment uniformly in
 time.  :func:`q_invariants` checks the three properties of ``Q`` that
 bound rests on, for both ``tocp qcheck`` and the acceptance suite.
+
+``Q`` commutes with the hyperoctahedral group of the box (permutations of
+the coordinates and flips of their signs), whose orbits are the classes
+of points with equal sorted |coordinates|.  Every row of ``Q`` therefore
+puts the same total weight on each class as every other row of its own
+class, so ``Q`` is exactly lumpable onto the classes (Kemeny & Snell,
+*Finite Markov Chains*, 1960, section 6.3): for a vector ``v`` constant on
+classes, ``exp(tQ) v`` is constant on classes and equals ``exp(tQ̂) v̂``
+lifted back, where ``Q̂[c, c'] = sum over y in c' of Q[x_c, y]`` for any
+representative ``x_c`` of ``c``.  No coupling joins two points of one
+class (a unit step, and each of the origin row's two-step targets, changes
+the multiset of |coordinates|), so ``Q̂`` keeps ``Q``'s diagonal and stays
+Metzler, and ``B̂**p 1̂`` is ``B**p 1`` lumped, so :func:`expm_apply` picks
+the same shift and substeps on ``Q̂`` as on ``Q``.
+:func:`integrate_second_moment` runs on ``Q̂``: 126 classes in place of
+59,049 points at d = 5, R = 4.
 """
 from __future__ import annotations
 
@@ -95,6 +111,15 @@ def shell_distances(d: int, R: int) -> np.ndarray:
         c = (idx // side**axis) % side - R
         np.maximum(dist, np.abs(c), out=dist)
     return dist
+
+
+def _class_codes(d: int, R: int) -> np.ndarray:
+    """Symmetry class of every box point, shape (box_size,): the base-(R + 1)
+    code of its sorted |coordinates|, which is 0 at the origin only.
+    (Sorting makes the order of the axes in the flat box index irrelevant.)"""
+    side = 2 * R + 1
+    mags = np.sort(np.abs(np.indices((side,) * d).reshape(d, -1) - R), axis=0)
+    return (R + 1) ** np.arange(d) @ mags
 
 
 @dataclass
@@ -357,30 +382,44 @@ class SecondMomentResult:
 def integrate_second_moment(d: int, lam: float, R: int, times) -> SecondMomentResult:
     """Evolve the correlation system from the all-ones start.
 
-    Returns the origin value ``G_t(0)`` at each requested time together
-    with a truncation indicator: the weight that ``exp(tQ)`` row 0
-    assigns to the outer two shells of the box, i.e. the part of
-    ``G_t(0)`` already in contact with the absorbing boundary.
+    Returns, in ascending time order (duplicates repeated), the origin
+    value ``G_t(0)`` at each requested time together with a truncation
+    indicator: the weight that ``exp(tQ)`` row 0 assigns to the outer two
+    shells of the box, i.e. the part of ``G_t(0)`` already in contact with
+    the absorbing boundary.
+
+    Both are read at the origin from vectors that are constant on the
+    box's symmetry classes, so the system is integrated on the lumped
+    generator ``Q̂`` (see the module docstring): ``g0`` is ``(exp(tQ̂) 1̂)``
+    and ``leakage`` is ``(exp(tQ̂) 1̂_outer)`` at the origin's class, one
+    :func:`expm_apply` per vector, since its stop rule is relative to each
+    vector's largest entry.  The ``leakage`` entry is far below the
+    largest one and so accurate only absolutely: against a dense
+    ``exp(tQ)`` of the full box (d <= 3, R <= 6, t from 0.1 to 5) its error
+    stayed below ``8e-15`` of that largest entry, which is up to ``2.2e-11``
+    relative to a leakage of ``5e-7`` (d = 1, R = 6, t = 0.1) and at most
+    ``7.8e-14`` wherever the leakage is ``1e-3`` or more.
     """
     ts = sorted(times)
     if not all(math.isfinite(t) and t >= 0 for t in ts):
         raise ValueError(f"times must be finite and >= 0, got {ts}")
     Q = build_q(d, lam, R)
-    outer = shell_distances(d, R) >= R - 1
-    e0 = np.zeros(Q.size)
-    e0[Q.origin] = 1.0
-    QT = Q.matrix.T.tocsr()
-    g = np.ones(Q.size)
-    row0 = e0.copy()
+    # the origin's code is 0, so it is class 0
+    _, reps, cls = np.unique(_class_codes(d, R), return_index=True, return_inverse=True)
+    rows = Q.matrix[reps]
+    lumped = sp.csr_matrix((rows.data, cls[rows.indices], rows.indptr), shape=(len(reps),) * 2)
+    lumped.sum_duplicates()
+    g = np.ones(len(reps))
+    outer = (shell_distances(d, R)[reps] >= R - 1).astype(np.float64)
     g0 = []
     leak = []
     prev = 0.0
     for t in ts:
-        g = expm_apply(Q, g, t - prev)
-        row0 = expm_apply(QT, row0, t - prev)
+        g = expm_apply(lumped, g, t - prev)
+        outer = expm_apply(lumped, outer, t - prev)
         prev = t
-        g0.append(float(g[Q.origin]))
-        leak.append(float(row0[outer].sum()))
+        g0.append(float(g[0]))
+        leak.append(float(outer[0]))
     return SecondMomentResult(ts, g0, leak)
 
 
@@ -423,16 +462,14 @@ def build_h(d: int, lam: float, hitting: HittingTable, R: int) -> HarmonicH:
             f"lam = {lam} at or below the offset threshold {thr:.6f} for d = {d}"
         )
     b = (4.0 * d * lam * (1.0 - (d + 1) * f1) - 1.0) / (1.0 + 4.0 * d * d * lam)
-    # box points read their class (sorted |coordinates|) by its base-(R + 1) code
-    # (sorting makes the order of the axes in the flat box index irrelevant)
-    side = 2 * R + 1
-    mags = np.sort(np.abs(np.indices((side,) * d).reshape(d, -1) - R), axis=0)
-    weights = (R + 1) ** np.arange(d)
+    # a key (sorted |coordinates|) is a box point of its own class
+    codes = _class_codes(d, R)
     keys = np.array(list(hitting.classes))
     inside = keys[:, -1] <= R
+    key_points = (keys[inside] + R) @ (2 * R + 1) ** np.arange(d)  # box_index of each key
     table = np.zeros((R + 1) ** d)
-    table[keys[inside] @ weights] = np.array(list(hitting.classes.values()))[inside]
-    values = table[weights @ mags] + b
+    table[codes[key_points]] = np.array(list(hitting.classes.values()))[inside]
+    values = table[codes] + b
     return HarmonicH(d, lam, R, b, values)
 
 

@@ -211,6 +211,17 @@ def test_moments_command(capsys):
     assert len(rows) == 2
 
 
+def test_moments_rows_in_ascending_time_with_repeats(capsys):
+    code, out = run_cli(
+        capsys, "moments", "--d", "2", "--lambda", "0.3", "--radius", "3",
+        "--times", "1,0.5,1",
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [float(r["t"]) for r in rows] == [0.5, 1.0, 1.0]
+    assert rows[1] == rows[2]
+
+
 @pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf"])
 def test_moments_non_finite_time_exit_code(capsys, times):
     code = main(["moments", "--d", "2", "--lambda", "0.3", "--radius", "2", "--times", times])

@@ -125,6 +125,18 @@ def test_counts_mean_matches_closed_form():
         assert abs(mean - want) < 4 * se, (lam, t, mean, want)
 
 
+def test_counts_mean_pooled_over_seeds():
+    # 200 seeds x 2000 replicas pooled into one mean: 1 SE is about 0.005,
+    # against about 0.07 for one 2000-replica run
+    g = build_torus(2, 8)
+    lam, t = 0.3, 1.0
+    vals = np.concatenate([engines.counts_replicas(g, lam, [t], 0, 2_000, seed)[0]
+                           for seed in range(200)])
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    want = math.exp(t * (4 * lam - 1))
+    assert abs(vals.mean() - want) < 4 * se, (vals.mean(), want, se)
+
+
 def test_counts_values_are_nonnegative_ints():
     # degree 8 below the horizon where the int64 headroom trips
     for graph, lam, t in ((build_torus(1, 6), 0.8, 2.0), (build_torus(4, 3), 1.0, 3.0)):

@@ -304,6 +304,73 @@ def test_second_moment_initial_conditions():
     assert np.abs(slope[interior]).max() < 1e-4
 
 
+LUMPING_CASES = [(1, 0.3, 2), (2, 0.3, 6), (3, 0.4, 3), (3, 1 / 6, 3), (4, 0.37, 3),
+                 (5, 0.1, 2), (5, 0.3, 4)]
+
+
+def symmetry_classes(d, R):
+    """Class label of every box point by its sorted |coordinates|, point by point."""
+    mags = np.sort(np.abs([box_coords(i, d, R) for i in range(box_size(d, R))]), axis=1)
+    return np.unique(mags, axis=0, return_inverse=True)[1].ravel()
+
+
+def rows_equal_within_classes(A, labels):
+    """Whether every row of ``A @ S`` (S the class-indicator matrix) equals,
+    bit for bit, the row of its class's first point."""
+    n = len(labels)
+    S = sp.csr_matrix((np.ones(n), (np.arange(n), labels)))
+    AS = (A @ S).tocsr()
+    _, first = np.unique(labels, return_index=True)
+    return (AS != AS[first[labels]]).nnz == 0
+
+
+@pytest.mark.parametrize("d, lam, R", LUMPING_CASES)
+def test_q_is_lumpable_onto_symmetry_classes(d, lam, R):
+    Q = build_q(d, lam, R)
+    labels = symmetry_classes(d, R)
+    assert rows_equal_within_classes(Q.matrix, labels)
+    # one interior off-diagonal entry scaled breaks it
+    x, y = box_index((1,) + (0,) * (d - 1), R), box_index((2,) + (0,) * (d - 1), R)
+    A = Q.matrix.tolil()
+    A[x, y] *= 1.5
+    assert not rows_equal_within_classes(A.tocsr(), labels)
+
+
+def full_box_second_moment(d, lam, R, times):
+    """Reference: ``G_t(0)`` from the all-ones vector under the full-box ``Q``
+    and the leakage from ``e_0`` under ``Q^T``, summed over the outer shells."""
+    ts = sorted(times)
+    Q = build_q(d, lam, R)
+    outer = shell_distances(d, R) >= R - 1
+    e0 = np.zeros(Q.size)
+    e0[Q.origin] = 1.0
+    QT = Q.matrix.T.tocsr()
+    g = np.ones(Q.size)
+    row0 = e0.copy()
+    g0 = []
+    leak = []
+    prev = 0.0
+    for t in ts:
+        g = expm_apply(Q, g, t - prev)
+        row0 = expm_apply(QT, row0, t - prev)
+        prev = t
+        g0.append(float(g[Q.origin]))
+        leak.append(float(row0[outer].sum()))
+    return ts, g0, leak
+
+
+@pytest.mark.parametrize("d, lam, R", LUMPING_CASES)
+def test_lumped_second_moment_matches_full_box(d, lam, R):
+    # t = 0, a repeated time, unsorted input and t = 5
+    times = [1.0, 0.0, 2.5, 1.0, 5.0, 0.5]
+    res = integrate_second_moment(d, lam, R, times)
+    ts, g0, leak = full_box_second_moment(d, lam, R, times)
+    assert res.times == ts == [0.0, 0.5, 1.0, 1.0, 2.5, 5.0]
+    assert res.g0 == pytest.approx(g0, rel=1e-12, abs=0)
+    assert res.leakage == pytest.approx(leak, rel=1e-12, abs=0)
+    assert res.g0[0] == 1.0 and res.leakage[0] == 0.0
+
+
 def test_harmonic_on_constants_vanishes_off_origin():
     Q = build_q(2, 0.35, 4)
     sums = exact_row_sums(Q)
