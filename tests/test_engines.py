@@ -10,6 +10,8 @@ from tocp.experiments import branching_exact, branching_survival
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_counts, all_ones_spin, all_ones_zeta, run
 
+from spin_oracle import spin_exact, spin_law
+
 
 def two_sample_z(p1, n1, p2, n2):
     se = math.sqrt(p1 * (1 - p1) / n1 + p2 * (1 - p2) / n2)
@@ -205,6 +207,41 @@ def test_set_survival_matches_run_dual():
         s = build_schedule(g, 0.7, 3.0, 900_000 + r)
         hits += int(len(run("dual", s, g, {0}, [3.0])[0]) > 0)
     assert two_sample_z(p_fast, n_fast, hits / n_ref, n_ref) < 4.5
+
+
+def assert_pooled(hits, n, p):
+    """One 4-SE test of the proportion pooled over seeds, and one of the
+    sample sd of the per-seed z-scores against 1 (its SE is about
+    ``1 / sqrt(2 (seeds - 1))``)."""
+    hits = np.asarray(hits)
+    pooled = hits.sum() / (n * len(hits))
+    z_pooled = (pooled - p) / math.sqrt(p * (1 - p) / (n * len(hits)))
+    sd = np.std((hits / n - p) / math.sqrt(p * (1 - p) / n), ddof=1)
+    assert abs(z_pooled) < 4 and abs(sd - 1) < 4 / math.sqrt(2 * (len(hits) - 1)), (z_pooled, sd)
+
+
+def test_spin_oracle_conserves_mass_and_refuses_large_graphs():
+    law = spin_law(build_torus(1, 10), 0.7, 3.0)
+    assert abs(law.sum() - 1) < 1e-12 and law.min() >= 0
+    assert spin_exact(build_torus(1, 10), 0.7, 3.0, 0) == pytest.approx(0.228539, abs=1e-6)
+    assert spin_exact(build_tree(3, 2), 0.4, 0.0, 5) == 1.0
+    with pytest.raises(ValueError, match="at most 16 vertices"):
+        spin_exact(build_torus(1, 17), 0.5, 1.0, 0)
+
+
+def test_set_survival_pooled_over_seeds_matches_exact():
+    # 200 seeds x 4000 replicas: by duality the dual set survives from {0}
+    # with the probability that the spin process from all ones infects 0
+    g = build_torus(1, 10)
+    nf = g.neighbors_fn()
+    hits = [engines.set_survival_replicas(nf, 0, 0.7, 3.0, 4_000, seed) for seed in range(200)]
+    assert_pooled(hits, 4_000, spin_exact(g, 0.7, 3.0, 0))
+
+
+def test_branching_pooled_over_seeds_matches_backward_equation():
+    hits = [engines.branching_replicas(5, 0.5, 20.0, 12, 2_000, seed)["survived"]
+            for seed in range(100)]
+    assert_pooled(hits, 2_000, branching_exact(5, 0.5, 20.0, 12))
 
 
 def gw_survival(n, lam, gens):
