@@ -9,15 +9,15 @@ which is what makes the coupling identities exact rather than
 statistical.
 
 This module owns how a seed becomes events, for schedules and the
-lock-step engines of :mod:`tocp.engines` alike.  Value ``k`` of the
-counter-based stream (Salmon et al., SC'11) ``(seed, replica, kind)`` is
-a splitmix64 mix (Steele, Lea & Flood, OOPSLA 2014) of the four.  The
-count stream gives a Poisson number of events per observation interval,
-the mark stream event ``k``'s uniform vertex and infect mark, and the
-time stream a schedule's sorted uniform times.  By superposition and
-marking (Kingman, *Poisson Processes*, 1993, ch. 2, 5) replica 0 over
-``[0, horizon]`` has the law of the merged clocks, and that is the
-schedule.  Seeds lie in ``[0, 2**64)``; dumps are version 2.
+engines of :mod:`tocp.engines` alike.  Value ``k`` of the counter-based
+stream (Salmon et al., SC'11) ``(seed, replica, kind)`` is a splitmix64
+mix (Steele, Lea & Flood, OOPSLA 2014) of the four.  The count stream
+gives a Poisson number of events per observation interval, the mark
+stream event ``k``'s uniform vertex and infect mark, and the time stream
+a schedule's sorted uniform times or the set engines' waits and marks.
+By superposition and marking (Kingman, *Poisson Processes*, 1993, ch. 2,
+5) replica 0 over ``[0, horizon]`` has the law of the merged clocks, and
+that is the schedule.  Seeds lie in ``[0, 2**64)``; dumps are version 2.
 """
 from __future__ import annotations
 
@@ -183,6 +183,14 @@ class _Draws:
         """The fractions ``q`` of the products ``z``, written over ``z``."""
         z &= np.uint64((1 << (64 - self.b)) - 1)
         return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
+
+
+def _set_draws(keys, k, c):
+    """``(waits, marks)``, each ``(c, len(keys))``: events ``k .. k + c - 1`` of the time streams
+    with keys ``keys``, whose values ``2k + 1`` give waits ``-log1p(-u)`` and ``2k + 2`` marks."""
+    z = _mix(_steps(np.arange(2 * k + 1, 2 * (k + c) + 1))[:, None] + keys)
+    u = (z >> np.uint64(11)) * 2.0**-53  # the top 53 bits, on [0, 1)
+    return -np.log1p(-u[0::2]), u[1::2]
 
 
 def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedule:

@@ -74,14 +74,12 @@ draw, so at ``lam_max`` it reproduces ``spin_replicas`` bit for bit,
 and the indicators of one replica are nondecreasing in ``lam``: a rate
 scan or a bisection reads one run with common random numbers.
 
-Set-valued engines follow the members of a set, each ringing at rate
-``1 + lam``.  The dual set needs each member's vertex, so it runs one
-replica at a time in Python over 8192-long lists of draws.  The oriented
-branching set needs members per depth only, so it runs in lock step over
-rows of per-depth counts: each pass draws, for every live row, a time
-step, the ringing member's depth (inverse CDF over the row's cumulative
-counts) and an infect/heal uniform; a block of rows draws from
-``SeedSequence(seed, spawn_key=(block_index,))``.
+Set-valued engines follow the members of a set, each ringing at rate ``1 + lam``.
+Event ``k`` of replica ``i`` reads values ``2k + 1`` (a wait) and ``2k + 2`` (a
+mark) of its time stream, which no lock-step engine reads; the mark times the
+member count picks the ringing member by its integer part and infects iff its
+fraction is below ``lam / (1 + lam)``.  Block sizes bound memory only: the dual
+set runs in Python, a row at a time, the branching set in lock step by depth.
 
 The test suite checks the spin, counting and real engines bit for bit
 against the schedule-driven reference dynamics, and the threshold fold at
@@ -93,8 +91,8 @@ import math
 
 import numpy as np
 
-from .clocks import (_COUNTS, _GAMMA, _MARKS, _Draws, _event_counts, _poisson_table, _steps,
-                     _stream_keys)
+from .clocks import (_COUNTS, _GAMMA, _MARKS, _TIMES, _Draws, _event_counts, _poisson_table,
+                     _set_draws, _steps, _stream_keys)
 from .graphs import FiniteGraph, require_materialized
 
 __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
@@ -129,6 +127,7 @@ _BALL_PASSES = 64
 # Stream values a group of light-cone rows draws and filters at once (1 MiB
 # of uint64).
 _DRAW_CELLS = 128 * 1024
+_DUAL_CELLS = 1 << 13  # replicas per dual block, and events a round draws at most
 # Count cells per branching block: a block's live rows and their cumulative
 # counts stay a few hundred kB whatever ``n_replicas`` is.
 _BRANCH_CELLS = 1 << 16
@@ -608,52 +607,56 @@ def set_survival_replicas(
     """Number of replicas whose dual set is nonempty at ``t_end``.
 
     Only clocks of current members matter: each member rings at rate
-    ``1 + lam``; an infect ring adds all neighbours (member stays), a
-    heal ring removes the member.  Replicas reaching ``cap`` members are
-    declared survivors: dying back from that size within the remaining
-    horizon has negligible probability at the horizons used here, and
-    the cap keeps supercritical runs from exploding.  ``neighbors_fn(x)``
-    returns vertex ids, fastest as Python ints.
+    ``1 + lam``; an infect ring adds all neighbours (member stays), a heal
+    ring removes the member.  Replicas reaching ``cap`` members are declared
+    survivors: dying back from that size within the remaining horizon has
+    negligible probability at the horizons used here, and the cap keeps
+    supercritical runs from exploding.  Replica ``i`` reads its own time
+    stream.  ``neighbors_fn(x)`` returns vertex ids, fastest as Python ints.
     """
     _check_set_args(lam, t_end, n_replicas, "cap", cap)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    chunk = 8192  # even: uniforms are read in pairs, so a pair never straddles a refill
-    exps = rng.exponential(1.0, size=chunk).tolist()
-    unis = rng.random(chunk).tolist()
-    ie = iu = survived = 0
     rate, p_inf = 1.0 + lam, lam / (1.0 + lam)
-    for _ in range(n_replicas):
-        members = [start_vertex]
-        present = {start_vertex}
-        t = 0.0
-        while members:
-            sz = len(members)
-            if sz >= cap:
-                survived += 1
-                break
-            if ie == chunk:
-                exps = rng.exponential(1.0, size=chunk).tolist()
-                ie = 0
-            t += exps[ie] / (rate * sz)
-            ie += 1
-            if t > t_end:
-                survived += 1
-                break
-            if iu == chunk:
-                unis = rng.random(chunk).tolist()
-                iu = 0
-            i = int(unis[iu] * sz)
-            x = members[i]
-            if unis[iu + 1] < p_inf:
-                for y in neighbors_fn(x):
-                    if y not in present:
-                        present.add(y)
-                        members.append(y)
-            else:
-                members[i] = members[-1]
-                members.pop()
-                present.remove(x)
-            iu += 2
+    survived = 0
+    for lo in range(0, n_replicas, _DUAL_CELLS):
+        keys = _stream_keys(seed, np.arange(lo, min(lo + _DUAL_CELLS, n_replicas)), _TIMES)
+        waits, marks = _set_draws(keys, 0, 1)  # event 0 rings the start vertex alone
+        done = (waits[0] / rate > t_end) | (cap == 1)
+        survived += int(np.count_nonzero(done))
+        go = keys[~done & (marks[0] < p_inf)]  # only rows infected then go on
+        groups = [([([start_vertex], {start_vertex}, 0.0, key) for key in go], 0)]
+        while groups:  # rounds of 8, 16, 32, ... events a row
+            rows, k = groups.pop()
+            c = min(k + 8, _DUAL_CELLS)
+            if len(rows) * c > _DUAL_CELLS:  # too many rows for a round: split them, depth first
+                groups += [(rows[_DUAL_CELLS // c :], k), (rows[: _DUAL_CELLS // c], k)]
+                continue
+            waits, marks = _set_draws(np.array([row[3] for row in rows], dtype=np.uint64), k, c)
+            still = []
+            for (members, present, t, key), es, us in zip(rows, waits.T.tolist(), marks.T.tolist()):
+                for e, u in zip(es, us):
+                    sz = len(members)
+                    t += e / (rate * sz)
+                    if sz >= cap or t > t_end:
+                        survived += 1
+                        break
+                    r = u * sz
+                    i = int(r)
+                    x = members[i]
+                    if r - i < p_inf:
+                        for y in neighbors_fn(x):
+                            if y not in present:
+                                present.add(y)
+                                members.append(y)
+                    else:
+                        members[i] = members[-1]
+                        members.pop()
+                        present.remove(x)
+                        if not members:
+                            break
+                else:  # the row used up its draws: it goes on next round
+                    still.append((members, present, t, key))
+            if still:
+                groups.append((still, k + c))
     return survived
 
 
@@ -682,10 +685,10 @@ def branching_replicas(
       the graph-faithful truncated dynamics; survival probabilities are
       biased low once the population front reaches the boundary.
 
-    Returns a dict with ``survived``, ``replicas`` and interior event
-    counts ``heal_events`` / ``infect_events`` (events at members of
-    depth < ``depth``, whose infect fraction estimates the offspring
-    rate).  More than ``_MAX_BRANCH_EVENTS`` events in all raise ``RuntimeError``.
+    Replica ``i`` reads its own time stream.  Returns a dict with ``survived``,
+    ``replicas`` and interior event counts ``heal_events`` / ``infect_events``
+    (events at members of depth < ``depth``, whose infect fraction estimates the
+    offspring rate).  More than ``_MAX_BRANCH_EVENTS`` events in all raise ``RuntimeError``.
     """
     if frontier not in ("escape", "absorb"):
         raise ValueError("frontier must be 'escape' or 'absorb'")
@@ -701,15 +704,14 @@ def branching_replicas(
     bs = max(1, min(n_replicas, _BRANCH_CELLS // width))
     escape = depth - 1 if frontier == "escape" else -1
     survived = heal_events = infect_events = 0
-    for blk, lo in enumerate(range(0, n_replicas, bs)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(blk,))))
+    for lo in range(0, n_replicas, bs):
         k = min(bs, n_replicas - lo)
-        # Work arrays, made once per block so that a pass allocates nothing: rows
-        # of per-depth counts, live rows first, with a spare last cell for zero adds.
+        # Work arrays, made once per block so that a pass allocates only its draws:
+        # rows of per-depth counts, live rows first, with a spare last cell for zero adds.
         cnt, cs = np.zeros((2, k, width + 1), dtype=dtype)
         cnt[:, 0] = 1
         t, draw = np.zeros((2, k))
-        u = np.empty(2 * k)
+        keys = _stream_keys(seed, np.arange(lo, lo + k), _TIMES)
         j = np.empty(k, dtype=np.intp)
         born, minus_one = np.full((2, k), -1, dtype=dtype)
         late, up, inner, gone = np.empty((4, k), dtype=bool)
@@ -718,15 +720,16 @@ def branching_replicas(
         while k:
             c = np.cumsum(cnt[:k, :width], axis=1, dtype=dtype, out=cs[:k, :width])
             tot = c[:, depth]
-            e = np.divide(rng.standard_exponential(out=draw[:k]), tot, out=draw[:k])
-            tk = np.add(t[:k], e, out=t[:k])
-            uk = rng.random(out=u[: 2 * k].reshape(2, k))
-            uk[0] *= tot
-            # the member that rings sits at the first depth whose cumulative count passes uk[0]
-            jk = np.argmax(np.greater(c, uk[0][:, None], out=above[:k]), axis=1, out=j[:k])
+            waits, marks = _set_draws(keys, 0, 1)
+            keys += _steps(2)  # pass p reads values 2p + 1 and 2p + 2 of the rows' streams
+            tk = np.add(t[:k], np.divide(waits[0], tot, out=waits[0]), out=t[:k])
+            r = np.multiply(marks[0], tot, out=marks[0])
+            # the member that rings sits at the first depth whose cumulative count passes r
+            jk = np.argmax(np.greater(c, r[:, None], out=above[:k]), axis=1, out=j[:k])
+            qk = np.modf(r, out=(r, waits[0]))[0]  # the mark's fraction
             lk = np.greater(tk, horizon, out=late[:k])  # past the horizon: no event
             ik = np.greater(np.less(jk, depth, out=inner[:k]), lk, out=inner[:k])
-            upk = np.logical_and(np.less(uk[1], p_inf, out=up[:k]), ik, out=up[:k])  # a birth
+            upk = np.logical_and(np.less(qk, p_inf, out=up[:k]), ik, out=up[:k])  # a birth
             n_late, n_up = int(np.count_nonzero(lk)), int(np.count_nonzero(upk))
             max_events -= k - n_late  # from here on, what is left of the budget
             if max_events < 0:
@@ -746,6 +749,7 @@ def branching_replicas(
                 keep = np.logical_not(gk, out=gk)
                 np.compress(keep, cnt[:k], axis=0, out=cs[: k - n_gone])
                 np.compress(keep, tk, out=draw[: k - n_gone])
+                keys = keys[keep]
                 cnt, cs, t, draw = cs, cnt, draw, t
                 k -= n_gone
     return {"survived": survived, "replicas": n_replicas,

@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spin_oracle import spin_exact, spin_law
 from tocp import engines
 from tocp.clocks import _GAMMA, HEAL, INFECT, ClockSchedule, _stream_keys, build_schedule
 from tocp.experiments import branching_exact, branching_survival
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_counts, all_ones_spin, all_ones_zeta, run
-
-from spin_oracle import spin_exact, spin_law
 
 
 def two_sample_z(p1, n1, p2, n2):
@@ -287,39 +286,55 @@ def test_branching_rejects_unknown_frontier():
 
 
 def test_set_survival_hits_pinned():
-    # hit counts are fixed by the seed and the draw order, and criteria 4 and
-    # 8 read them: a rewrite of the loop must reproduce them exactly
+    # hit counts are fixed by the seed and the replicas' time streams, and
+    # criteria 4 and 8 read them: a rewrite of the loop must reproduce them exactly
     g = build_tree(3, 4)
     nf = g.neighbors_fn()
     hits = [engines.set_survival_replicas(nf, 0, 0.5, 3.0, 5_000, seed=s) for s in (1, 2, 3)]
-    assert hits == [1262, 1303, 1249]
+    assert hits == [1301, 1264, 1267]
     # a neighbour function returning numpy rows reads the same draws
     rows = lambda x: g.nbr[x, : g.deg[x]]  # noqa: E731
-    assert engines.set_survival_replicas(rows, 0, 0.5, 3.0, 5_000, seed=1) == 1262
+    assert engines.set_survival_replicas(rows, 0, 0.5, 3.0, 5_000, seed=1) == 1301
     lz = LazyTree(4, 12, "full_degree")
     hits = [engines.set_survival_replicas(lz.neighbors_fn(), 0, 0.45, 20.0, 300, seed=s, cap=1000)
             for s in (1, 2)]
-    assert hits == [70, 62]
+    assert hits == [61, 73]
+
+
+@pytest.mark.parametrize("graph,lam,cap", [
+    (build_torus(1, 10), 0.7, 2000), (build_tree(3, 4), 0.8, 20),  # the second reaches its cap
+])
+def test_set_survival_does_not_depend_on_blocks(monkeypatch, graph, lam, cap):
+    nf = graph.neighbors_fn()
+    want = engines.set_survival_replicas(nf, 0, lam, 3.0, 300, seed=27, cap=cap)
+    assert 0 < want < 300
+    # blocks of one row (each replica alone, one event a round), of seven rows, and
+    # of 448 rows, whose rounds split their open rows into groups
+    for cells in (1, 7, 448):
+        monkeypatch.setattr(engines, "_DUAL_CELLS", cells)
+        assert engines.set_survival_replicas(nf, 0, lam, 3.0, 300, seed=27, cap=cap) == want
 
 
 @pytest.mark.parametrize("bad", [
     {"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf},
-    {"lam": -0.1}, {"lam": math.nan}, {"cap": 0},
+    {"lam": -0.1}, {"lam": math.nan}, {"cap": 0}, {"seed": -1}, {"seed": 2**64},
 ])
 def test_set_survival_rejects_bad_inputs(bad):
-    args = {"lam": 0.5, "t_end": 1.0, "cap": 2000, **bad}
+    args = {"lam": 0.5, "t_end": 1.0, "cap": 2000, "seed": 1, **bad}
     with pytest.raises(ValueError):
         engines.set_survival_replicas(build_torus(1, 8).neighbors_fn(), 0, args["lam"],
-                                      args["t_end"], 50, seed=1, cap=args["cap"])
+                                      args["t_end"], 50, seed=args["seed"], cap=args["cap"])
 
 
 @pytest.mark.parametrize("bad", [
     {"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf}, {"lam": -0.1}, {"depth": 0},
+    {"seed": -1}, {"seed": 2**64},
 ])
 def test_branching_rejects_bad_inputs(bad):
-    args = {"lam": 0.3, "t_end": 1.0, "depth": 4, **bad}
+    args = {"lam": 0.3, "t_end": 1.0, "depth": 4, "seed": 1, **bad}
     with pytest.raises(ValueError):
-        engines.branching_replicas(3, args["lam"], args["t_end"], args["depth"], 50, seed=1)
+        engines.branching_replicas(3, args["lam"], args["t_end"], args["depth"], 50,
+                                   seed=args["seed"])
 
 
 @pytest.mark.parametrize("n_replicas", [0, -1])
@@ -364,6 +379,14 @@ def test_branching_event_budget_is_exact(monkeypatch):
             engines.branching_replicas(*args, seed=24)
 
 
+@pytest.mark.parametrize("frontier", ["escape", "absorb"])
+def test_branching_does_not_depend_on_blocks(monkeypatch, frontier):
+    want = engines.branching_replicas(3, 0.6, 5.0, 6, 2_000, seed=23, frontier=frontier)
+    for cells in (1024, 7 * 50):  # blocks of 146 and of 50 rows
+        monkeypatch.setattr(engines, "_BRANCH_CELLS", cells)
+        assert engines.branching_replicas(3, 0.6, 5.0, 6, 2_000, seed=23, frontier=frontier) == want
+
+
 def test_branching_result_across_a_block_boundary():
     rows = engines._BRANCH_CELLS // 13  # one block at depth 12
     one = engines.branching_replicas(5, 0.5, 20.0, 12, rows, seed=25)
@@ -390,7 +413,7 @@ def test_branching_matches_backward_equation(n, lam, t, depth, frontier, seed):
 
 
 def test_branching_blocks_agree_with_backward_equation(monkeypatch):
-    # many small blocks: each draws from its own seed, the law is unchanged
+    # many small blocks of rows, each row on its own time stream: the law is unchanged
     monkeypatch.setattr(engines, "_BRANCH_CELLS", 7 * 50)
     n_rep = 8_000
     out = engines.branching_replicas(3, 0.8, 4.0, 6, n_rep, seed=26, frontier="absorb")

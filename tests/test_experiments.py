@@ -238,14 +238,14 @@ def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
 
 
 def test_critical_estimate_dual_bracket_pinned():
-    # the dual evaluations are fixed by the seed and the dual engine's draw order
+    # the dual evaluations are fixed by the seed and the replicas' time streams
     lz = LazyTree(4, 12, "full_degree")
     res = critical_estimate(lz, (0.12, 0.45), 20.0, 300, threshold=0.02, tol=0.03, seed=7,
                             estimator="dual")
-    assert [round(s * 300) for _, s in res.evaluations] == [0, 67, 9, 1, 4, 3]
+    assert [round(s * 300) for _, s in res.evaluations] == [0, 76, 11, 0, 1, 7]
     lams = [lam for lam, _ in res.evaluations]
     assert lams == pytest.approx([0.12, 0.45, 0.285, 0.2025, 0.24375, 0.264375], abs=1e-12)
-    assert (res.lo, res.hi) == pytest.approx((0.264375, 0.285), abs=1e-12)
+    assert (res.lo, res.hi) == pytest.approx((0.24375, 0.264375), abs=1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
