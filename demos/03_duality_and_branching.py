@@ -8,7 +8,7 @@ giving the upper bracket for the critical rate.
 """
 from tocp import build_torus, build_tree, duality_check, branching_survival
 
-# duality on a cycle and on a tree, independent replica sets per side
+# duality on a cycle and on a tree; the sides read disjoint streams of one seed
 for graph, lam, name in ((build_torus(1, 10), 0.7, "torus(1,10)"),
                          (build_tree(3, 6), 0.4, "tree(3,6)")):
     res = duality_check(graph, 0, lam, 3.0, replicas=20_000, seed=1)

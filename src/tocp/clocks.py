@@ -14,10 +14,11 @@ stream (Salmon et al., SC'11) ``(seed, replica, kind)`` is a splitmix64
 mix (Steele, Lea & Flood, OOPSLA 2014) of the four.  The count stream
 gives a Poisson number of events per observation interval, the mark
 stream event ``k``'s uniform vertex and infect mark, and the time stream
-a schedule's sorted uniform times or the set engines' waits and marks.
-By superposition and marking (Kingman, *Poisson Processes*, 1993, ch. 2,
-5) replica 0 over ``[0, horizon]`` has the law of the merged clocks, and
-that is the schedule.  Seeds lie in ``[0, 2**64)``; dumps are version 2.
+the set engines' waits and marks.  By superposition and marking (Kingman,
+*Poisson Processes*, 1993, ch. 2, 5) replica 0 over ``[0, horizon]`` has
+the law of the merged clocks, and that is the schedule; its sorted times
+read the time stream of id ``2**64 - 1``, which no engine replica reads.
+Seeds lie in ``[0, 2**64)``; dumps are version 2.
 """
 from __future__ import annotations
 
@@ -217,7 +218,8 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"need finite horizon >= 0, got horizon={horizon}")
     V = graph.n_vertices
-    counts, marks, clock = (_stream_keys(seed, [0], kind) for kind in (_COUNTS, _MARKS, _TIMES))
+    counts, marks = (_stream_keys(seed, [0], kind) for kind in (_COUNTS, _MARKS))
+    clock = _stream_keys(seed, [2**64 - 1], _TIMES)  # a time stream no engine replica reads
     mu = V * (1.0 + lam) * horizon
     n = int(_event_counts(counts, 0, _poisson_table(mu))[0]) if mu > 0 else 0
     times, verts, kinds = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)

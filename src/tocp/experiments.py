@@ -1,9 +1,9 @@
 """Replica orchestration and the estimators tied to the critical rate.
 
 Estimates carry binomial or empirical standard errors.  Each estimator
-hands its seed to an engine as is or derives one per run through
-``SeedSequence(entropy=seed, spawn_key=...)``; engine replicas read their
-own streams, so results are reproducible and independent of execution order.
+hands its seed to the engines unchanged; engine replicas read their own
+streams of :mod:`tocp.clocks`, so results are reproducible and
+independent of execution order.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ FINITE_SIZE_NOTE = (
     "finite graph, finite horizon: the bracket locates a fixed-time survival "
     "crossing, a proxy for the infinite-volume critical rate"
 )
-
-
-def _subseed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 @dataclass
@@ -107,25 +103,21 @@ def duality_check(
 ) -> DualityResult:
     """Compare infection probability of ``x`` with dual-set survival from ``x``.
 
-    The two sides use independent replica sets (the identity equates
-    distributions, not trajectories).  Low replica counts inflate the
-    standard errors but keep the z-score honest.
+    The two sides read disjoint streams of ``seed`` and are independent
+    (the identity equates distributions, not trajectories).  Low replica
+    counts inflate the standard errors but keep the z-score honest.
     """
     if not 0 <= x < graph.n_vertices:
         raise ValueError(f"vertex {x} out of range for {graph.n_vertices} vertices")
     if replicas < 1:
         raise ValueError(f"need replicas >= 1, got replicas={replicas}")
-    s_eta = _subseed(seed, 1)
-    s_dual = _subseed(seed, 2)
-    eta_vals = engines.spin_replicas(graph, lam, [t], x, replicas, s_eta)[0]
-    p_eta = Estimate.from_indicator(int(eta_vals.sum()), replicas, s_eta)
+    eta_vals = engines.spin_replicas(graph, lam, [t], x, replicas, seed)[0]
+    p_eta = Estimate.from_indicator(int(eta_vals.sum()), replicas, seed)
     # a cap the dual set realistically never reaches at these horizons,
     # bounded by the graph itself
     cap = max(2000, min(graph.n_vertices, 50_000))
-    hits = engines.set_survival_replicas(
-        graph.neighbors_fn(), x, lam, t, replicas, s_dual, cap=cap
-    )
-    p_dual = Estimate.from_indicator(hits, replicas, s_dual)
+    hits = engines.set_survival_replicas(graph.neighbors_fn(), x, lam, t, replicas, seed, cap=cap)
+    p_dual = Estimate.from_indicator(hits, replicas, seed)
     denom = math.hypot(p_eta.std_error, p_dual.std_error)
     z = abs(p_eta.value - p_dual.value) / denom if denom > 0 else (
         0.0 if p_eta.value == p_dual.value else math.inf
@@ -213,9 +205,8 @@ def lambda_scan(
     """
     grid = _check_grid(lambda_grid)
     _check_replicas(replicas)
-    s = _subseed(seed, 10, len(grid) - 1)  # the top rate keeps its per-rate seed
-    infected = _survival_curve(graph, grid[-1], t, replicas, s)
-    return [(lam, Estimate.from_indicator(int(np.count_nonzero(infected(lam))), replicas, s))
+    infected = _survival_curve(graph, grid[-1], t, replicas, seed)
+    return [(lam, Estimate.from_indicator(int(np.count_nonzero(infected(lam))), replicas, seed))
             for lam in grid]
 
 
@@ -263,12 +254,12 @@ def critical_estimate(
     rate of the bracket on shared replicas, so each bisection step reads
     the same nondecreasing curve.  ``"dual"`` uses nonemptiness of the
     dual set grown from the root, which costs only the active set and is
-    the only feasible route on huge lazily-addressed trees; it draws
-    fresh replicas at each rate.  The two observables have equal
-    distributions by the duality identity (verified independently in
-    the test suite).  ``"auto"`` picks forward for
-    materialized graphs and dual for :class:`LazyTree`.  Either needs at
-    least 100 replicas.
+    the only feasible route on huge lazily-addressed trees; every rate
+    reads the same replicas' time streams (common random numbers).  The
+    two observables have equal distributions by the duality identity
+    (verified independently in the test suite).  ``"auto"`` picks forward
+    for materialized graphs and dual for :class:`LazyTree`.  Either reads
+    its replicas at ``seed`` and needs at least 100 replicas.
     """
     lo, hi = bracket
     if not (0 <= lo < hi):
@@ -281,38 +272,31 @@ def critical_estimate(
     if estimator == "auto":
         estimator = "dual" if isinstance(graph, LazyTree) else "forward"
     if estimator == "forward":
-        # the seed of the evaluation at hi, which the run reproduces exactly
-        infected = _survival_curve(graph, hi, t, replicas, _subseed(seed, 30, 1))
+        infected = _survival_curve(graph, hi, t, replicas, seed)
 
-        def survival(lam: float, _k: int) -> float:
+        def survival(lam: float) -> float:
             return int(np.count_nonzero(infected(lam))) / replicas
     else:
         nf = graph.neighbors_fn()
 
-        def survival(lam: float, k: int) -> float:
-            hits = engines.set_survival_replicas(nf, 0, lam, t, replicas, _subseed(seed, 30, k),
-                                                 cap=1000)
-            return hits / replicas
+        def survival(lam: float) -> float:
+            return engines.set_survival_replicas(nf, 0, lam, t, replicas, seed, cap=1000) / replicas
 
-    evals = []
-    s_lo = survival(lo, 0)
-    s_hi = survival(hi, 1)
-    evals += [(lo, s_lo), (hi, s_hi)]
+    s_lo, s_hi = survival(lo), survival(hi)
+    evals = [(lo, s_lo), (hi, s_hi)]
     if not (s_lo < threshold < s_hi):
         raise ValueError(
             f"invalid bracket: survival {s_lo:.4f} at {lo} and {s_hi:.4f} at {hi} "
             f"do not straddle threshold {threshold}"
         )
-    k = 2
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        s_mid = survival(mid, k)
+        s_mid = survival(mid)
         evals.append((mid, s_mid))
         if s_mid < threshold:
             lo = mid
         else:
             hi = mid
-        k += 1
     return CriticalBracket(lo, hi, 0.5 * (lo + hi), evals, estimator)
 
 

@@ -318,23 +318,29 @@ def parse_graph_spec(spec: str):
     """Parse a graph description string.
 
     Formats: ``"torus:d=2,L=32"`` and ``"tree:n=3,depth=10,root=son_only"``
-    (``root`` optional, ``son_only`` or ``full``).  Trees too large to
-    materialize come back as :class:`LazyTree`.
+    (``root`` optional, ``son_only`` or ``full``), each key at most once.
+    Trees too large to materialize come back as :class:`LazyTree`.
     """
+    family, _, rest = spec.partition(":")
+    allowed = {"torus": ("d", "L"), "tree": ("n", "depth", "root")}.get(family)
+    if allowed is None:
+        raise ValueError(f"unknown graph family {family!r}")
     try:
-        family, _, rest = spec.partition(":")
-        kv = dict(item.split("=") for item in rest.split(",") if item)
+        kv = {}
+        for item in filter(None, rest.split(",")):
+            key, value = item.split("=")
+            if key in kv or key not in allowed:
+                raise ValueError(f"{'repeated' if key in kv else 'unknown'} {family} key {key!r}")
+            kv[key] = value
         if family == "torus":
             return build_torus(int(kv["d"]), int(kv["L"]))
-        if family == "tree":
-            n = int(kv["n"])
-            depth = int(kv["depth"])
-            root = kv.get("root", "son_only")
-            if root == "full":
-                root = "full_degree"
-            if tree_vertex_count(n, depth, root) > MAX_MATERIALIZED_VERTICES:
-                return LazyTree(n, depth, root)
-            return build_tree(n, depth, root)
+        n = int(kv["n"])
+        depth = int(kv["depth"])
+        root = kv.get("root", "son_only")
+        if root == "full":
+            root = "full_degree"
+        if tree_vertex_count(n, depth, root) > MAX_MATERIALIZED_VERTICES:
+            return LazyTree(n, depth, root)
+        return build_tree(n, depth, root)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed graph spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown graph family {family!r}")

@@ -444,6 +444,30 @@ def test_bad_value_exit_code(capsys):
     assert main(["simulate", "--graph", "ring:n=5", "--lambda", "0.5", "--t", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("spec", ["tree:n=3,depth=4,roott=full",
+                                  "tree:n=3,depth=4,root=full,n=2", "torus:d=2,L=5,depth=9"])
+def test_graph_spec_key_error_exit_code(capsys, spec):
+    assert main(["simulate", "--graph", spec, "--lambda", "0.5", "--t", "1.0"]) == 1
+    assert f"malformed graph spec {spec!r}" in capsys.readouterr().err
+
+
+SEEDED = {
+    "simulate": ["--graph", "torus:d=1,L=6", "--lambda", "0.4", "--t", "1.0"],
+    "duality": ["--graph", "torus:d=1,L=6", "--lambda", "0.4", "--t", "1.0", "--replicas", "200"],
+    "scan": ["--graph", "torus:d=1,L=6", "--lambda-grid", "0.2:0.6:0.2", "--t", "1.0"],
+    "critical": ["--graph", "torus:d=1,L=6", "--bracket", "0.1,2.0", "--t", "2.0",
+                 "--threshold", "0.3", "--tol", "0.5"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("cmd", SEEDED)
+def test_seed_domain_is_the_engines(capsys, cmd, seed):
+    # every seeded subcommand hands its seed to the engines, which take [0, 2**64)
+    assert main([cmd, *SEEDED[cmd], "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+
 def test_engine_failure_exit_code(capsys, monkeypatch):
     def tripped(*_a, **_k):
         raise RuntimeError("xi count would exceed the int64 headroom")

@@ -1,3 +1,7 @@
+import importlib
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -141,10 +145,34 @@ def test_seed_domain():
 
 
 def test_stream_keys_are_distinct():
-    # the count, mark and time streams of 1000 replicas never share a key
+    # the count, mark and time streams of 1000 replicas and the schedule's
+    # time stream (id 2**64 - 1) never share a key
     ids = np.arange(1000)
-    keys = np.concatenate([clocks._stream_keys(3, ids, kind) for kind in (0, 1, 2)])
+    keys = np.concatenate([clocks._stream_keys(3, ids, kind) for kind in (0, 1, 2)]
+                          + [clocks._stream_keys(3, [2**64 - 1], clocks._TIMES)])
     assert len(np.unique(keys)) == len(keys)
+
+
+def test_schedule_times_share_no_draw_with_the_set_engines():
+    # the set engines read the time streams of replicas 0, 1, ...; a
+    # schedule's times read a stream none of them reads
+    g, t = build_torus(1, 8), 10.0
+    for seed in range(10):
+        times = build_schedule(g, 0.7, t, seed).times / t
+        waits, marks = clocks._set_draws(clocks._stream_keys(seed, np.arange(4), clocks._TIMES),
+                                         0, 60)
+        u = np.concatenate([-np.expm1(-waits).ravel(), marks.ravel()])
+        i = np.clip(np.searchsorted(times, u), 1, len(times) - 1)
+        gap = np.minimum(abs(times[i] - u), abs(times[i - 1] - u))
+        assert gap.min() > 1e-12, (seed, int(np.count_nonzero(gap <= 1e-12)))
+
+
+@pytest.mark.parametrize("name", ["clocks", "engines", "experiments", "processes", "graphs",
+                                  "cli"])
+def test_random_numbers_come_from_the_streams_alone(name):
+    # every seed becomes random numbers through the counter streams above
+    source = Path(importlib.import_module(f"tocp.{name}").__file__).read_text()
+    assert not re.search(r"\b(np|numpy)\.random\b|from numpy import random", source)
 
 
 def test_dump_keeps_seeds_above_int64(tmp_path):

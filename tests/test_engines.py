@@ -237,6 +237,17 @@ def test_set_survival_pooled_over_seeds_matches_exact():
     assert_pooled(hits, 4_000, spin_exact(g, 0.7, 3.0, 0))
 
 
+@pytest.mark.parametrize("graph", [build_torus(1, 10), build_tree(2, 3)], ids=["torus", "tree"])
+def test_threshold_pooled_over_seeds_matches_exact(graph):
+    # 200 seeds x 4000 replicas of one run at 0.7, read at six rates; the
+    # top rate is spin_replicas bit for bit, so this covers the spin engine too
+    levels = np.array([engines.threshold_replicas(graph, 0.7, [3.0], 0, 4_000, seed)[0]
+                       for seed in range(200)])
+    for lam in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
+        hits = np.count_nonzero(levels < lam / 1.7, axis=1)
+        assert_pooled(hits, 4_000, spin_exact(graph, lam, 3.0, 0))
+
+
 def test_branching_pooled_over_seeds_matches_backward_equation():
     hits = [engines.branching_replicas(5, 0.5, 20.0, 12, 2_000, seed)["survived"]
             for seed in range(100)]

@@ -12,7 +12,6 @@ from tocp.experiments import (
     critical_estimate,
     duality_check,
     lambda_scan,
-    _subseed,
     survival_probability,
     thinned_survival_indicators,
 )
@@ -101,6 +100,15 @@ def test_duality_battery():
     assert bad <= 1
 
 
+@pytest.mark.parametrize("graph,lam", [(build_torus(1, 10), 0.7), (build_tree(2, 3), 0.4)],
+                         ids=["torus", "tree"])
+def test_duality_sides_are_independent(graph, lam):
+    # the sides read disjoint streams of one seed: z**2 then has mean 1 (chi-square,
+    # one degree of freedom, variance 2); shared draws would move it
+    z2 = [duality_check(graph, 0, lam, 3.0, 2_000, seed).z ** 2 for seed in range(200)]
+    assert abs(np.mean(z2) - 1) < 4 * math.sqrt(2 / 200), np.mean(z2)
+
+
 def gw_survival(n, lam, gens):
     q = 0.0
     for _ in range(gens):
@@ -178,8 +186,7 @@ def test_thinned_indicators_top_rate_is_spin():
     assert np.array_equal(ind[-1], engines.spin_replicas(g, 1.5, [t], 0, 300, seed)[0])
     assert np.array_equal(ind[1], ind[2]) and 0 < ind.sum(axis=1)[1] < ind.sum(axis=1)[-1]
     scan = lambda_scan(g, grid, t, 300, seed)
-    thinned = thinned_survival_indicators(g, grid, t, 300, _subseed(seed, 10, len(grid) - 1))
-    assert [round(e.value * 300) for _, e in scan] == thinned.sum(axis=1).tolist()
+    assert [round(e.value * 300) for _, e in scan] == ind.sum(axis=1).tolist()
     # thinning takes any replica count; the scan and the bisection need 100
     assert thinned_survival_indicators(g, grid, t, 4, seed).shape == (5, 4)
     with pytest.raises(ValueError, match="at least 100 replicas"):
@@ -238,11 +245,12 @@ def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
 
 
 def test_critical_estimate_dual_bracket_pinned():
-    # the dual evaluations are fixed by the seed and the replicas' time streams
+    # the dual evaluations are fixed by the seed and the replicas' time streams,
+    # which every rate reads
     lz = LazyTree(4, 12, "full_degree")
     res = critical_estimate(lz, (0.12, 0.45), 20.0, 300, threshold=0.02, tol=0.03, seed=7,
                             estimator="dual")
-    assert [round(s * 300) for _, s in res.evaluations] == [0, 76, 11, 0, 1, 7]
+    assert [round(s * 300) for _, s in res.evaluations] == [0, 70, 13, 0, 5, 8]
     lams = [lam for lam, _ in res.evaluations]
     assert lams == pytest.approx([0.12, 0.45, 0.285, 0.2025, 0.24375, 0.264375], abs=1e-12)
     assert (res.lo, res.hi) == pytest.approx((0.24375, 0.264375), abs=1e-12)

@@ -216,6 +216,18 @@ def test_parse_graph_spec():
         parse_graph_spec("torus")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("tree:n=3,depth=4,roott=full", "unknown tree key 'roott'"),
+    ("tree:n=3,depth=4,root=full,n=2", "repeated tree key 'n'"),
+    ("tree:n=3,depth=20,depth=21", "repeated tree key 'depth'"),  # lazy
+    ("torus:d=2,L=5,depth=9", "unknown torus key 'depth'"),
+    ("torus:d=2,L=5,L=6", "repeated torus key 'L'"),
+])
+def test_graph_spec_rejects_unknown_and_repeated_keys(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_graph_spec(spec)
+
+
 def test_lazy_tree_matches_materialized():
     lz = LazyTree(3, 4)
     g = build_tree(3, 4)
