@@ -12,8 +12,8 @@ lock-step engines, one event per replica per pass, with the per-event
 work done by numpy over the replica axis.  The engines differ only in
 how an infect event folds the closed neighbourhood of its vertex (the
 vertex itself and its neighbours): the maximum for the spin process
-(eta), the sum for the counting process (xi), the float64 sum for the
-real process (zeta) and a min-max fold for threshold levels (below).
+(eta), the float64 sum for the counting process (xi) and the real
+process (zeta), and a min-max fold for threshold levels (below).
 The zeta drift multiplies every coordinate by the same factor
 ``exp((1 - 2*lam*d) * dt)`` on a 2d-regular graph, so it commutes with
 the sum and with healing: zeta at time t is ``exp((1 - 2*lam*d) * t)``
@@ -32,7 +32,7 @@ run, and it can be rerun alone.  The draws do not depend on the rule, so
 the engines share their random numbers: with equal arguments
 ``spin_replicas`` equals ``counts_replicas > 0`` replica by replica, and
 ``reals_replicas`` equals the counting values times
-``exp((1 - 2*lam*d) * t)`` up to float64 rounding.  A clock schedule
+``exp((1 - 2*lam*d) * t)`` in float64, bit for bit.  A clock schedule
 holds replica 0's events (:func:`tocp.clocks.build_schedule`).
 
 Light cone: each run goes first to the ball ``B_r(x)`` around the
@@ -48,11 +48,14 @@ monotone, so the two bracket the full value (the sandwich of monotone
 coupling from the past; Propp & Wilson, *Random Struct. Alg.* 9, 1996).
 A sum is affine in the values it reads outside, with nonnegative integer
 coefficients, so ``high - low`` is their sum and agreement means that
-``x`` read nothing from outside.  Float64 sums agree only below
-``2**53``: each value feeding ``x`` is an integer at most ``x``'s, so
-their sums are exact.  An int64 guard trip on the ball leaves its block
-to the full graph, whose guard decides; a row settled on the ball is
-guarded on the ball alone.  The radius is a speed choice
+``x`` read nothing from outside.  One rule keeps every path exact: each
+value feeding ``x`` is a nonnegative integer at most ``x``'s, so where
+``x``'s value is below ``2**53`` every sum behind it is exact, and where
+it is not, the computed value is not either (rounding is monotone).  So
+the bounds agree only below ``2**53``, a row that reaches it on the ball
+runs on the full graph, and ``counts_replicas`` raises exactly when an
+observed value reaches ``2**53``, on whatever path the row took.  The
+radius is a speed choice
 (:func:`_radius`: the distance a chain of infect events covers by the
 last observation time, with the full graph where the ball is not much
 smaller or where the horizon is long, since full-graph rows stop once
@@ -100,7 +103,7 @@ __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_repl
 
 # State cells per replica block, whatever the rule.  Blocks of 1M and 4M cells
 # ran counts_replicas on torus(2, 16) equally fast; the smaller bound keeps a
-# block of int64 counts at 8 MB.  Far smaller blocks pay more per-pass overhead.
+# block of float64 counts at 8 MB.  Far smaller blocks pay more per-pass overhead.
 _BLOCK_CELLS = 1024 * 1024
 _CHUNK_CELLS = 256 * 1024  # gather indices or stream values prepared ahead (2 MB)
 # From this many active rows on, a pass gathers neighbourhoods for infect
@@ -211,24 +214,22 @@ def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float, m: int) -> int
 class _Kernel:
     """What the full-graph and the light-cone runs of one call share."""
 
-    def __init__(self, graph, lam, obs, x, seed, fold, dtype, initial):
+    def __init__(self, graph, lam, obs, x, seed, fold, initial):
         self.cn = _closed_neighbourhoods(graph)
         self.w, self.V = self.cn.shape
         if not 0 <= x < self.V:
             raise ValueError(f"vertex {x} out of range for {self.V} vertices")
-        self.x, self.seed, self.fold, self.dtype = x, seed, fold, dtype
+        self.x, self.seed, self.fold = x, seed, fold
+        self.dtype = np.uint8 if fold is np.maximum else np.float64
         self.p_inf = lam / (1.0 + lam)
         rate = self.V * (1.0 + lam)
         self.tables = [_poisson_table(rate * dt) if dt > 0 else None
                        for dt in np.diff(obs, prepend=0.0)]
-        self.headroom = self.exact = None
-        if fold is np.add and np.issubdtype(dtype, np.integer):
-            self.headroom = np.iinfo(dtype).max // self.w
-        elif fold is np.add:
-            self.exact = 2.0**53  # float64 sums of integers are exact below it
+        # float64 sums of integers are exact below 2**53
+        self.exact = 2.0**53 if fold is np.add else None
         self.blank, self.full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
-        self.init = np.full(self.V + 1, self.blank, dtype=dtype)
-        self.init[: self.V] = self.full if initial is None else np.asarray(initial, dtype=dtype)
+        self.init = np.full(self.V + 1, self.blank, dtype=self.dtype)
+        self.init[: self.V] = self.full if initial is None else np.asarray(initial, self.dtype)
 
     def keys(self, ids):
         return _stream_keys(self.seed, ids, _COUNTS), _stream_keys(self.seed, ids, _MARKS)
@@ -249,10 +250,10 @@ class _Kernel:
         for a in range(0, len(u), step):
             ua, qa = u[a : a + step], q[a : a + step]
             infect = np.less(qa, self.p_inf, out=hit_buf[: qa.size].reshape(qa.shape))
-            _passes(flat, cn, off, ua, qa, infect, self.fold, self.blank, self.headroom, work)
+            _passes(flat, cn, off, ua, qa, infect, self.fold, self.blank, work)
 
 
-def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, initial=None):
+def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, initial=None):
     """Value at ``observe_vertex``, of shape ``(len(obs), n_replicas)``.
 
     ``fold`` (``np.maximum`` or ``np.add``) combines the closed
@@ -262,9 +263,9 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     sets ``min(m(v), max(q, min over the neighbours))`` (see
     :func:`threshold_replicas`).  The blank value (0, or ``+inf`` for the
     threshold fold) fills the phantom cell, retired rows and unobserved
-    output.  Integer sums are guarded: every stored value stays at or
-    below ``iinfo(dtype).max // w`` for neighbourhoods of ``w`` vertices,
-    so no sum can wrap, and a larger result raises ``RuntimeError``.
+    output.  The rule fixes the dtype: uint8 for the maximum, float64 for
+    the sum (exact below ``2**53``; see the module docstring) and the
+    threshold fold.
 
     Every fold runs on a light cone first (:func:`_cone`).  Rows it
     leaves open run again on the ball of radius ``r + ceil(r/2)`` while
@@ -276,8 +277,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, dtype, in
     if n_replicas < 1:
         raise ValueError(f"need n_replicas >= 1, got n_replicas={n_replicas}")
     require_materialized(graph)
-    kern = _Kernel(graph, lam, obs, observe_vertex, seed, fold, dtype, initial)
-    out = np.full((len(obs), n_replicas), kern.blank, dtype=dtype)
+    kern = _Kernel(graph, lam, obs, observe_vertex, seed, fold, initial)
+    out = np.full((len(obs), n_replicas), kern.blank, dtype=kern.dtype)
     rows = np.arange(n_replicas)
     m = int(np.count_nonzero(kern.init[: kern.V] != kern.blank))
     r = _radius(graph, observe_vertex, lam, obs[-1], m)
@@ -348,8 +349,8 @@ def _cone(kern, ball, rows, out):
     blank value, and at the full value.  Where the two agree at the
     observed vertex at every observation time, they equal the full-graph
     value, bit for bit (see the module docstring), and go to ``out``;
-    the rows where they differ are returned, and so is every row of a
-    block whose int64 guard trips.  ``out`` keeps the lower run's value
+    the rows where they differ are returned, and so are the sum rows
+    whose upper run reaches ``2**53``.  ``out`` keeps the lower run's value
     of an open row, which is blank wherever the full-graph row is.
     """
     V, blank = kern.V, kern.blank
@@ -387,35 +388,32 @@ def _cone(kern, ball, rows, out):
         flat = state.reshape(-1)
         off = np.arange(2 * k) * stride
         agree = np.ones(k, dtype=bool)
-        try:
-            for j, table in enumerate(kern.tables):
-                if table is not None:
-                    n_ev = _event_counts(count_keys, j, table)
-                    for s in range(0, int(n_ev.max()), seg):
-                        c = int(min(seg, n_ev.max() - s))
-                        parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
-                                       in_ball, loc, g) for g in range(0, k, group)]
-                        i, u, q = (np.concatenate(a) for a in zip(*parts))
-                        if len(i) == 0:
-                            continue
-                        # pass e applies each row's e-th ball event; shorter rows
-                        # pad with heal events at the phantom
-                        per_row = np.bincount(i, minlength=k)
-                        e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
-                        m = int(per_row.max())
-                        pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
-                        pq = np.ones((m, k, 2))
-                        pu[e, i] = u[:, None]
-                        pq[e, i] = q[:, None]
-                        kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
-                    base += _steps(n_ev)
-                low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
-                out[j, ids] = low
-                agree &= low == high
-                if kern.exact:
-                    agree &= high < kern.exact
-        except RuntimeError:  # the int64 guard, which only the full graph decides
-            agree[:] = False
+        for j, table in enumerate(kern.tables):
+            if table is not None:
+                n_ev = _event_counts(count_keys, j, table)
+                for s in range(0, int(n_ev.max()), seg):
+                    c = int(min(seg, n_ev.max() - s))
+                    parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
+                                   in_ball, loc, g) for g in range(0, k, group)]
+                    i, u, q = (np.concatenate(a) for a in zip(*parts))
+                    if len(i) == 0:
+                        continue
+                    # pass e applies each row's e-th ball event; shorter rows
+                    # pad with heal events at the phantom
+                    per_row = np.bincount(i, minlength=k)
+                    e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
+                    m = int(per_row.max())
+                    pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
+                    pq = np.ones((m, k, 2))
+                    pu[e, i] = u[:, None]
+                    pq[e, i] = q[:, None]
+                    kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
+                base += _steps(n_ev)
+            low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
+            out[j, ids] = low
+            agree &= low == high
+            if kern.exact:
+                agree &= high < kern.exact
         open_rows.append(ids[~agree])
     return np.concatenate(open_rows)
 
@@ -425,7 +423,7 @@ def _live(state, blank):
     return state.min(axis=1) < blank if blank else state.any(axis=1)
 
 
-def _passes(flat, cn, off, u, q, infect, fold, blank, headroom, work_arrays):
+def _passes(flat, cn, off, u, q, infect, fold, blank, work_arrays):
     """Apply event ``p`` of column ``i`` of ``u``, ``q`` and ``infect`` (each
     ``(passes, rows)``) to the row at ``flat[off[i]:]``, pass by pass.
 
@@ -447,16 +445,15 @@ def _passes(flat, cn, off, u, q, infect, fold, blank, headroom, work_arrays):
             np.add(column, off, out=gather[:, i])
         vals = val_buf[: w * k].reshape(w, k)
         new = np.empty(k, dtype=flat.dtype)
+        heal = ~infect
         for p in range(c):
             g = gather[p]
             flat.take(g, out=vals, mode="clip")
             if threshold:
                 _threshold_fold(vals, q[p], new)
-                np.copyto(new, blank, where=~infect[p])
             else:
                 fold.reduce(vals, axis=0, out=new)
-                new *= infect[p]
-                _guard(new, headroom)
+            np.copyto(new, blank, where=heal[p])
             flat[g[0]] = new
     else:
         u += off  # from here on, each event's position in flat
@@ -471,7 +468,6 @@ def _passes(flat, cn, off, u, q, infect, fold, blank, headroom, work_arrays):
                 new = _threshold_fold(vals, q[p].take(ii), np.empty(len(ii)))
             else:
                 new = fold.reduce(vals, axis=0)
-                _guard(new, headroom)
             flat[u[p]] = blank
             flat[g[0]] = new
 
@@ -482,14 +478,6 @@ def _threshold_fold(vals, q, out):
     np.minimum.reduce(vals[1:], axis=0, out=out)
     np.maximum(out, q, out=out)
     return np.minimum(out, vals[0], out=out)
-
-
-def _guard(new, headroom):
-    if headroom is not None and new.max(initial=0) > headroom:
-        raise RuntimeError(
-            "counting values exceeded the int64 headroom; "
-            "use the exact schedule-driven run instead"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +501,7 @@ def spin_replicas(
     state is absorbing).
     """
     return _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas,
-                     seed, np.maximum, np.uint8, initial)
+                     seed, np.maximum, initial)
 
 
 def counts_replicas(
@@ -526,17 +514,20 @@ def counts_replicas(
 ) -> np.ndarray:
     """Counting-process value at ``observe_vertex`` across replicas.
 
-    Starts from all ones.  Values are int64, kept at or below
-    ``iinfo(int64).max // (max_degree + 1)`` so no neighbourhood sum can
-    wrap; a replica that would exceed it raises ``RuntimeError`` (one
-    settled on the light cone, on the ball's cells).  The mean grows like
-    ``exp(t * (2*d*lam - 1))`` on a 2d-regular graph, so supercritical
-    horizons do trip it (``torus(4, 3)`` at ``lam = 1``, ``t = 6`` does
-    with 1000 replicas); use the schedule-driven exact-integer path for
-    those.  Returns shape ``(len(obs_times), n_replicas)``.
+    Starts from all ones.  The sums run in float64, which is exact for
+    integers below ``2**53``; an observed value at or above it raises
+    ``RuntimeError``, whether the replica ran on a light cone or on the
+    full graph.  The mean grows like ``exp(t * (2*d*lam - 1))`` on a
+    2d-regular graph, so supercritical horizons do reach it (``torus(4,
+    3)`` at ``lam = 1``, ``t = 6`` does with 1000 replicas); use the
+    schedule-driven exact-integer path for those.  Returns int64 of
+    shape ``(len(obs_times), n_replicas)``.
     """
-    return _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas,
-                     seed, np.add, np.int64)
+    xi = _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas, seed, np.add)
+    if (xi >= 2.0**53).any():
+        raise RuntimeError("counting values reached 2**53, where float64 sums stop being exact; "
+                           "use the exact schedule-driven run instead")
+    return xi.astype(np.int64)
 
 
 def reals_replicas(
@@ -557,7 +548,7 @@ def reals_replicas(
     obs = _check_obs(obs_times)
     if graph.regular_degree != 2 * d_param:
         raise ValueError("zeta dynamics require a 2d-regular graph")
-    out = _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, np.add, np.float64)
+    out = _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, np.add)
     out *= np.exp((1.0 - 2.0 * lam * d_param) * obs)[:, None]
     return out
 
@@ -581,7 +572,7 @@ def threshold_replicas(
     ``(len(obs_times), n_replicas)``.
     """
     return _lockstep(graph, lam_max, _check_obs(obs_times), observe_vertex, n_replicas,
-                     seed, np.minimum, np.float64)
+                     seed, np.minimum)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,9 @@ def parse_graph_spec(spec: str):
             if key in kv or key not in allowed:
                 raise ValueError(f"{'repeated' if key in kv else 'unknown'} {family} key {key!r}")
             kv[key] = value
+        for key in allowed[:2]:  # a tree's root is optional
+            if key not in kv:
+                raise ValueError(f"missing {family} key {key!r}")
         if family == "torus":
             return build_torus(int(kv["d"]), int(kv["L"]))
         n = int(kv["n"])
@@ -342,5 +345,5 @@ def parse_graph_spec(spec: str):
         if tree_vertex_count(n, depth, root) > MAX_MATERIALIZED_VERTICES:
             return LazyTree(n, depth, root)
         return build_tree(n, depth, root)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed graph spec {spec!r}: {exc}") from exc

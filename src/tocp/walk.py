@@ -23,6 +23,7 @@ trouble.  An exact big-integer convolution backs the rational mode.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,28 +411,14 @@ def hitting_table(d: int, radius: int, n_terms: float | None = None) -> HittingT
         raise ValueError("radius must be >= 1")
     if math.comb(radius + d, d) * 2 * _POINTS_VALUE > _NODE_GUARD:  # >= 2 panels
         raise ValueError("hitting table beyond the resource guard")
-    keys = _sorted_classes(d, radius)
+    # the symmetry classes: nondecreasing d-tuples with entries in 0..radius
+    keys = list(itertools.combinations_with_replacement(range(radius + 1), d))
     T = _DEFAULT_CUTOFF if n_terms is None else n_terms
     values, unc, _ = _green_values(d, np.array(keys, dtype=np.intp), T)
     g0 = float(values[0])  # keys[0] is the origin
     table = {k: v / g0 for k, v in zip(keys, values.tolist())}
     # |d(Gx/G0)| <= (dGx + F dG0)/G0 and F <= 1
     return HittingTable(d, radius, g0, table, 2.0 * float(unc.max()) / g0)
-
-
-def _sorted_classes(d: int, radius: int):
-    """Nondecreasing d-tuples with entries in 0..radius."""
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for v in range(lo, radius + 1):
-            rec(prefix + [v], v)
-
-    rec([], 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

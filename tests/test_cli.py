@@ -451,6 +451,12 @@ def test_graph_spec_key_error_exit_code(capsys, spec):
     assert f"malformed graph spec {spec!r}" in capsys.readouterr().err
 
 
+def test_graph_spec_missing_key_exit_code(capsys):
+    assert main(["simulate", "--graph", "tree:n=3", "--lambda", "0.5", "--t", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: malformed graph spec 'tree:n=3': missing tree key 'depth'\n"
+
+
 SEEDED = {
     "simulate": ["--graph", "torus:d=1,L=6", "--lambda", "0.4", "--t", "1.0"],
     "duality": ["--graph", "torus:d=1,L=6", "--lambda", "0.4", "--t", "1.0", "--replicas", "200"],

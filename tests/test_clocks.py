@@ -168,7 +168,7 @@ def test_schedule_times_share_no_draw_with_the_set_engines():
 
 
 @pytest.mark.parametrize("name", ["clocks", "engines", "experiments", "processes", "graphs",
-                                  "cli"])
+                                  "cli", "moments"])
 def test_random_numbers_come_from_the_streams_alone(name):
     # every seed becomes random numbers through the counter streams above
     source = Path(importlib.import_module(f"tocp.{name}").__file__).read_text()

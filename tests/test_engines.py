@@ -70,10 +70,12 @@ def _pure_death(monkeypatch, g, n, seed):
     assert abs(p - math.exp(-1.0)) < 4 * se
 
 
-@pytest.mark.parametrize("graph", [build_torus(2, 4), build_tree(2, 4)], ids=["torus", "tree"])
+@pytest.mark.parametrize("graph", [build_torus(2, 4), build_tree(2, 4), build_torus(2, 6)],
+                         ids=["torus", "tree", "torus(2,6)"])
 def test_spin_is_indicator_of_counts(graph):
     # the engines share their random draws, so the coupling eta = 1{xi > 0}
-    # holds replica by replica, not only in distribution
+    # holds replica by replica, not only in distribution; counts and reals
+    # are one float64 sum fold, so zeta is xi times the drift, bit for bit
     obs = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0]
     for lam, n, seed in ((0.3, 500, 31), (0.6, 3_000, 32)):
         eta = engines.spin_replicas(graph, lam, obs, 0, n, seed)
@@ -82,8 +84,9 @@ def test_spin_is_indicator_of_counts(graph):
         assert eta[-1].any() and not eta[-1].all()
         if graph.kind == "torus":
             zeta = engines.reals_replicas(graph, lam, 2, obs, 0, n, seed)
-            drift = np.exp((1.0 - 4.0 * lam) * np.asarray(obs))[:, None]
-            np.testing.assert_allclose(zeta, xi * drift, rtol=1e-12)
+            drift = np.exp((1 - 2 * lam * 2) * np.asarray(obs))[:, None]
+            assert xi.dtype == np.int64
+            assert np.array_equal(xi.astype(np.float64) * drift, zeta)
 
 
 def test_spin_agrees_with_schedule_reference():
@@ -139,7 +142,7 @@ def test_counts_mean_pooled_over_seeds():
 
 
 def test_counts_values_are_nonnegative_ints():
-    # degree 8 below the horizon where the int64 headroom trips
+    # degree 8 below the horizon where the 2**53 exactness check trips
     for graph, lam, t in ((build_torus(1, 6), 0.8, 2.0), (build_torus(4, 3), 1.0, 3.0)):
         vals = engines.counts_replicas(graph, lam, [t], 0, 2_000, seed=12)
         assert vals.dtype == np.int64
@@ -174,6 +177,18 @@ def test_reals_balance_rate_has_no_drift():
     assert (out >= 0).all()
     se = out.std(ddof=1) / math.sqrt(len(out))
     assert abs(out.mean() - 1.0) < 4 * se
+
+
+def test_overflowed_reals_do_not_depend_on_replica_count():
+    # At lam = 60 on a 3-cycle some sums overflow to inf.  A heal blanks an
+    # inf cell to 0 in a pass over few rows as in one over many; the drift
+    # exp(-1190) then rounds to 0, and 0 * inf reads NaN.
+    g = build_torus(1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        few = engines.reals_replicas(g, 60.0, 1, [10.0], 0, 50, seed=1)
+        many = engines.reals_replicas(g, 60.0, 1, [10.0], 0, 3_000, seed=1)
+    assert np.isnan(few).any()
+    np.testing.assert_array_equal(many[:, :50], few)
 
 
 def test_reals_rejects_irregular_graph():
@@ -501,7 +516,7 @@ def test_threshold_rules(monkeypatch):
         def apply(x, infect, q=0.9):
             work = (np.empty(8, dtype=np.int64), np.empty(8), np.empty(8, dtype=np.int64))
             engines._passes(row, cn, np.array([0]), np.array([[x]]), np.array([[q]]),
-                            np.array([[infect]]), np.minimum, inf, None, work)
+                            np.array([[infect]]), np.minimum, inf, work)
             assert row[-1] == inf
             return row[:4].tolist()
 
@@ -528,7 +543,7 @@ def test_threshold_levels_equal_thinned_spin_replays(graph, lam_max, t, cone):
     grid = np.linspace(0.0, lam_max, 7)
     assert (engines._radius(graph, 0, lam_max, t, graph.n_vertices) is not None) == cone
     levels = engines.threshold_replicas(graph, lam_max, [t], 0, n, seed)[0]
-    kern = engines._Kernel(graph, lam_max, np.array([t]), 0, seed, np.minimum, np.float64, None)
+    kern = engines._Kernel(graph, lam_max, np.array([t]), 0, seed, np.minimum, None)
     count_keys, base = kern.keys(np.arange(n))
     n_ev = engines._event_counts(count_keys, 0, kern.tables[0])
     draw = engines._Draws(int(n_ev.max()), graph.n_vertices)
@@ -647,12 +662,12 @@ def test_lockstep_replica_does_not_depend_on_replica_count(name, engine):
     assert np.array_equal(many[:, :60], few)
     assert np.array_equal(_lockstep_run(engine, graph, x, 1), few[:, :1])
     # a replica rerun alone on the full graph, as the light cone reruns open rows
-    fold, dtype = (np.maximum, np.uint8) if engine == "spin" else (np.minimum, np.float64)
+    fold = np.maximum if engine == "spin" else np.minimum
     initial = (np.arange(graph.n_vertices) % 3 != 1) if engine == "spin" else None
     obs = np.array([0.0, 0.4, 1.0, 1.0, 2.5])
-    kern = engines._Kernel(graph, 0.6, obs, x, 5, fold, dtype, initial)
+    kern = engines._Kernel(graph, 0.6, obs, x, 5, fold, initial)
     for i in (0, 17, 59):
-        out = np.zeros((len(obs), 60), dtype=dtype)
+        out = np.zeros((len(obs), 60), dtype=kern.dtype)
         engines._full(kern, np.array([i]), out)
         assert np.array_equal(out[:, i], few[:, i])
 
@@ -787,7 +802,7 @@ def test_light_cone_sums_need_exact_floats():
     # read outside: such rows stay open.  The ball is the vertex alone, and
     # from 2**57 everywhere only the rows where it reads 0 are settled.
     g, x, n, obs = build_torus(2, 6), 8, 200, np.array([0.5, 1.0])
-    kern = engines._Kernel(g, 0.6, obs, x, 5, np.add, np.float64, np.full(36, 2.0**57))
+    kern = engines._Kernel(g, 0.6, obs, x, 5, np.add, np.full(36, 2.0**57))
     rows, ball = np.arange(n), np.array([x])
     out, full = np.zeros((2, 2, n))
     engines._full(kern, rows, full)
@@ -799,18 +814,25 @@ def test_light_cone_sums_need_exact_floats():
     assert (out[:, settled] != full[:, settled]).any()
 
 
-def test_light_cone_guard_trip_reruns_the_block():
-    # a guard trip on the ball leaves the block's rows to the full graph,
-    # whose own guard decides: a headroom lowered for the cone alone raises nothing
-    g, x, n, obs = build_torus(2, 6), 8, 300, np.array([0.5, 1.0])
-    want = engines.counts_replicas(g, 0.6, obs, x, n, seed=5)
-    kern = engines._Kernel(g, 0.6, obs, x, 5, np.add, np.int64, None)
-    headroom, kern.headroom = kern.headroom, 1  # any infect event with an infected neighbour
-    rows, out = np.arange(n), np.zeros((2, n), dtype=np.int64)
-    assert np.array_equal(engines._cone(kern, engines._ball(g, x, 1), rows, out), rows)
-    kern.headroom = headroom
-    engines._full(kern, rows, out)
-    assert np.array_equal(out, want)
+@pytest.mark.parametrize("t", [4.9, 5.1, 5.2, 6.0])
+def test_counts_exactness_check_does_not_depend_on_the_path(monkeypatch, t):
+    # Near 2**53 (mean exp(7 t)), a counting run either raises on every
+    # light-cone radius and on the full graph, or returns the same values
+    # on all of them: t = 5.1 at seed 2 reaches 2**53 on the full graph alone.
+    g = build_torus(4, 3)
+    for seed in range(4):
+        got = []
+        for radius in (None, 1, 2):
+            monkeypatch.setattr(engines, "_radius", lambda *args: radius)
+            try:
+                got.append(engines.counts_replicas(g, 1.0, [t], 0, 40, seed))
+            except RuntimeError:
+                got.append(None)
+        if got[0] is None:
+            assert got == [None] * 3, (t, seed)
+        else:
+            assert all(v is not None and np.array_equal(v, got[0]) for v in got), (t, seed)
+            assert (got[0] < 2**53).all()
 
 
 @pytest.mark.parametrize("radius", [4, None])

@@ -222,6 +222,10 @@ def test_parse_graph_spec():
     ("tree:n=3,depth=20,depth=21", "repeated tree key 'depth'"),  # lazy
     ("torus:d=2,L=5,depth=9", "unknown torus key 'depth'"),
     ("torus:d=2,L=5,L=6", "repeated torus key 'L'"),
+    ("tree:n=3", "malformed graph spec 'tree:n=3': missing tree key 'depth'$"),
+    ("tree:depth=3,root=full", "missing tree key 'n'$"),
+    ("torus", "malformed graph spec 'torus': missing torus key 'd'$"),
+    ("torus:d=2", "missing torus key 'L'$"),
 ])
 def test_graph_spec_rejects_unknown_and_repeated_keys(spec, message):
     with pytest.raises(ValueError, match=message):

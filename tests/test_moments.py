@@ -223,7 +223,7 @@ def test_expm_block_matches_dense_expm():
 
 @pytest.mark.parametrize("d, lam, R", [(1, 0.3, 2), (2, 0.3, 6), (3, 0.3, 4)])
 def test_q_invariants_hold(d, lam, R):
-    # (3, 0.3, 4) has 729 points, so its exp(tQ) columns are sampled
+    # (3, 0.3, 4) has 729 points, so 25 evenly spaced exp(tQ) columns are read
     checks, min_entry = q_invariants(build_q(d, lam, R))
     assert all(checks.values())
     assert min_entry >= -1e-10
