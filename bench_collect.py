@@ -7,9 +7,10 @@ Run from the repository root::
 The change side is the checkout this script sits in, as it stands on
 disk; the parent side is ``git archive`` of ``--parent`` exported to a
 temporary directory, removed on exit.  For each seed and each workload
-the script runs ``perfbench/run.py --workload W --seed S --seconds 25
---trace 0`` once in each checkout, the parent first for the first seed
-and the change first for the next, and so on.  It times nothing itself:
+of ``BENCHMARK.json`` the script runs ``perfbench/run.py --workload W
+--seed S --seconds T --trace 0``, with ``T`` its ``run_seconds``, once
+in each checkout, the parent first for the first seed and the change
+first for the next, and so on.  It times nothing itself:
 every number comes from the record that ``run.py`` names on its
 ``record:`` line.  Per workload and end-to-end metric the output holds
 the pairs, each side's median and quartiles and the change's win count
@@ -116,11 +117,9 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--pr", required=True, type=int, help="writes BENCH_<PR>.json")
     ap.add_argument("--seeds", required=True, help="e.g. 9101-9110 or 7,9,12")
-    ap.add_argument("--workloads", default="lockstep,event-loop,numerics")
-    ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seeds, workloads = parse_seeds(args.seeds), args.workloads.split(",")
+    seeds, workloads = parse_seeds(args.seeds), [w["name"] for w in bench["workloads"]]
     rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, stdout=subprocess.PIPE,
                          text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -135,12 +134,12 @@ def main(argv=None) -> int:
             for w in workloads:
                 run = {"workload": w, "seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_bench(checkouts[side], w, seed, args.seconds)
+                    run[side] = run_bench(checkouts[side], w, seed, bench["run_seconds"])
                     print(f"{w} seed {seed} {side}: " + ", ".join(
                         f"{n} {m['value']:.4g}" for n, m in run[side]["end_to_end"].items())
                         + f", failed {run[side]['failed']}/{run[side]['attempted']}", flush=True)
                 runs.append(run)
-        result = {"pr": args.pr, "parent": rev, "seconds": args.seconds,
+        result = {"pr": args.pr, "parent": rev, "run_seconds": bench["run_seconds"],
                   **summarize(runs, bench["end_to_end"]),
                   "acceptance": {side: acceptance(checkouts[side]) for side in SIDES}}
     path = ROOT / f"BENCH_{args.pr}.json"

@@ -517,13 +517,17 @@ def counts_replicas(
     Starts from all ones.  The sums run in float64, which is exact for
     integers below ``2**53``; an observed value at or above it raises
     ``RuntimeError``, whether the replica ran on a light cone or on the
-    full graph.  The mean grows like ``exp(t * (2*d*lam - 1))`` on a
+    full graph.  The check reads the observed values, so a run that
+    passes ``2**53`` goes on to its horizon before it raises; sums that
+    overflow to ``inf`` on the way raise the same error, without a
+    warning.  The mean grows like ``exp(t * (2*d*lam - 1))`` on a
     2d-regular graph, so supercritical horizons do reach it (``torus(4,
     3)`` at ``lam = 1``, ``t = 6`` does with 1000 replicas); use the
     schedule-driven exact-integer path for those.  Returns int64 of
     shape ``(len(obs_times), n_replicas)``.
     """
-    xi = _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas, seed, np.add)
+    with np.errstate(over="ignore"):
+        xi = _lockstep(graph, lam, _check_obs(obs_times), observe_vertex, n_replicas, seed, np.add)
     if (xi >= 2.0**53).any():
         raise RuntimeError("counting values reached 2**53, where float64 sums stop being exact; "
                            "use the exact schedule-driven run instead")

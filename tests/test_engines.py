@@ -181,14 +181,14 @@ def test_reals_balance_rate_has_no_drift():
 
 def test_overflowed_reals_do_not_depend_on_replica_count():
     # At lam = 60 on a 3-cycle some sums overflow to inf.  A heal blanks an
-    # inf cell to 0 in a pass over few rows as in one over many; the drift
-    # exp(-1190) then rounds to 0, and 0 * inf reads NaN.
+    # inf cell to 0 in a pass over few rows as in one over many.
     g = build_torus(1, 3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        engines.reals_replicas(g, 60.0, 1, [10.0], 0, 50, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         few = engines.reals_replicas(g, 60.0, 1, [10.0], 0, 50, seed=1)
         many = engines.reals_replicas(g, 60.0, 1, [10.0], 0, 3_000, seed=1)
-    assert np.isnan(few).any()
-    np.testing.assert_array_equal(many[:, :50], few)
+    np.testing.assert_array_equal(many[:, :50], few)  # NaN equals NaN here
 
 
 def test_reals_rejects_irregular_graph():
