@@ -191,9 +191,10 @@ def _cmd_moments(args) -> list[dict]:
     times = [float(v) for v in args.times.split(",")]
     res = moments.integrate_second_moment(args.d, args.lam, args.radius, times)
     try:
-        table = walk.hitting_table(args.d, max(2, args.radius))
-        h = moments.build_h(args.d, args.lam, table, args.radius)
-        bound = moments.second_moment_bound(h)
+        # b needs F_d(e1) alone, which the radius-1 table holds
+        f_e1 = walk.hitting_table(args.d, 1).lookup((1,) + (0,) * (args.d - 1))
+        b = moments.offset(args.d, args.lam, f_e1)
+        bound = (1.0 + b) / b
     except (moments.ValidityError, walk.DivergenceError):
         bound = "n/a"
     return [{"t": t, "g0": g, "bound": bound, "leakage": lk}

@@ -27,10 +27,10 @@ lifted back, where ``Q̂[c, c'] = sum over y in c' of Q[x_c, y]`` for any
 representative ``x_c`` of ``c``.  No coupling joins two points of one
 class (a unit step, and each of the origin row's two-step targets, changes
 the multiset of |coordinates|), so ``Q̂`` keeps ``Q``'s diagonal and stays
-Metzler, and ``B̂**p 1̂`` is ``B**p 1`` lumped, so :func:`expm_apply` picks
-the same shift and substeps on ``Q̂`` as on ``Q``.
-:func:`integrate_second_moment` runs on ``Q̂``: 126 classes in place of
-59,049 points at d = 5, R = 4.
+Metzler.  :func:`integrate_second_moment` builds ``Q̂`` directly, class by
+class from the sorted representative, without the box (126 classes in
+place of 59,049 points at d = 5, R = 4), so its radius is limited by the
+class count, ``C(R + d, d)``, not by ``build_q``'s 400,000-point guard.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ __all__ = [
     "exact_row_sums",
     "q_invariants",
     "integrate_second_moment",
+    "offset",
     "build_h",
     "check_harmonic",
     "second_moment_bound",
@@ -212,11 +213,12 @@ def q_norm_bound(Q: TruncatedQ) -> float:
     return 1.0 + 8.0 * Q.lam * Q.d + 4.0 * Q.lam * Q.d**2
 
 
-def _power_norm(A, diag: np.ndarray, mu: float) -> float:
+def _power_norm(A, diag: np.ndarray, mu: float, metzler: bool) -> float:
     """``min over p <= 8 of max(|B|**p 1)**(1/p)`` for ``B = A + mu I``,
-    applying ``|B| x = |A| x + (|diag A + mu| - |diag A|) x`` without
-    forming ``B``; the copy ``|A|`` is freed on return."""
-    abs_a, shift = abs(A), np.abs(diag + mu) - np.abs(diag)
+    without forming ``B``.  For a Metzler ``A`` ``|B| = B``, so ``|B| x =
+    A x + mu x``; otherwise ``|B| x = |A| x + (|diag A + mu| - |diag A|) x``,
+    with the copy ``|A|`` freed on return."""
+    abs_a, shift = (A, mu) if metzler else (abs(A), np.abs(diag + mu) - np.abs(diag))
     powers = np.ones(A.shape[0])
     alpha = math.inf
     for p in range(1, 9):
@@ -225,7 +227,21 @@ def _power_norm(A, diag: np.ndarray, mu: float) -> float:
     return alpha
 
 
+def _is_metzler(A, diag: np.ndarray) -> bool:
+    """Whether no stored off-diagonal entry of the sparse ``A`` is negative.
+
+    A negative diagonal entry has at least one negative stored part, so
+    ``A`` has no more negative stored entries than negative diagonal ones
+    only if none off the diagonal is negative.  Duplicate parts that sum
+    to a nonnegative entry read as negative: the answer errs towards no.
+    """
+    data = A.data if A.format in ("csr", "csc", "coo") else A.tocsr().data
+    return np.count_nonzero(data < 0) == np.count_nonzero(diag < 0)
+
+
 _EXPM_RTOL = 1e-13  # Taylor stopping tolerance of expm_apply
+# substep reach tau * alpha of expm_apply: without and with a sign-free series
+_REACH_SIGNED, _REACH_NONNEGATIVE = 2.0, 16.0
 
 
 def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float) -> np.ndarray:
@@ -233,16 +249,27 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float) -> np.ndarr
 
     ``v`` is a vector or a block of columns.  With ``mu = max(0, -min diag Q)``
     each substep sums the series of ``exp(tau B)``, ``B = Q + mu I``, and
-    multiplies by ``exp(-mu tau)``; for a Metzler ``Q`` (every off-diagonal
-    entry nonnegative) ``B`` is entrywise nonnegative, so a nonnegative
-    ``v`` sums without cancellation, and ``exp(mu t)`` is never formed
-    whole, so it cannot overflow.  Substeps are sized from power norms, as
-    in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011): ``tau * alpha <=
-    2`` with ``alpha = min over p <= 8 of max(|B|**p 1)**(1/p)``, which is
-    ``||B**p||_inf**(1/p)`` for a Metzler ``Q`` and an upper bound on it
-    otherwise.  Within a substep terms are accumulated until two
-    consecutive terms fall below ``_EXPM_RTOL`` (1e-13) relative to the
-    largest entry of the running result, well past the 1e-10 contract.
+    multiplies by ``exp(-mu tau)``, so ``exp(mu t)`` is never formed whole
+    and cannot overflow.  Substeps are sized from power norms, as in
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011): ``alpha = min over
+    p <= 8 of max(|B|**p 1)**(1/p)``, which is ``||B**p||_inf**(1/p)`` for
+    a Metzler ``Q`` (every off-diagonal entry nonnegative) and an upper
+    bound on it otherwise.  The reach ``tau * alpha`` of a substep is read
+    from the entries of the input:
+
+    - at most 16 when no stored off-diagonal entry of ``Q`` is negative
+      and ``v`` is nonnegative.  Then ``B`` is entrywise nonnegative and
+      so is every term ``(tau B)**k v / k!``: no term cancels another,
+      each is at most the sum, and rounding stays relative to the
+      result however large the terms grow; ``exp(16)`` is about 8.9e6,
+      far from overflow;
+    - at most 2 otherwise: a signed term can cancel, and the shorter
+      substep keeps the largest term near the size of the result.
+
+    Within a substep terms are accumulated until two consecutive terms
+    fall below ``_EXPM_RTOL`` (1e-13) relative to the largest entry of the
+    running result, well past the 1e-10 contract; a substep at reach 16
+    took 45 to 53 terms on ``build_q`` boxes, inside the cap of 119.
     Entries far below the largest are therefore accurate only absolutely,
     to about 1e-13 times the largest entry, not relative to their size.
     """
@@ -254,7 +281,9 @@ def expm_apply(Q: TruncatedQ | sp.spmatrix, v: np.ndarray, t: float) -> np.ndarr
         return w
     diag = A.diagonal()
     mu = max(0.0, -float(diag.min()))
-    n_sub = max(1, math.ceil(_power_norm(A, diag, mu) * t / 2.0))
+    metzler = _is_metzler(A, diag)
+    reach = _REACH_NONNEGATIVE if metzler and w.min() >= 0 else _REACH_SIGNED
+    n_sub = max(1, math.ceil(_power_norm(A, diag, mu, metzler) * t / reach))
     tau = t / n_sub
     decay = math.exp(-mu * tau)
     for _ in range(n_sub):
@@ -378,6 +407,70 @@ class SecondMomentResult:
     leakage: list
 
 
+# classes of the lumped generator: build_q's guard on box points, applied to classes
+_CLASS_GUARD = 400_000
+
+
+def _class_generator(d: int, lam: float, R: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The lumped generator ``Q̂`` of the radius-``R`` box, built class by
+    class, and the classes themselves, shape ``(C(R + d, d), d)``.
+
+    A class is a nondecreasing tuple of |coordinates| in ``0..R``; its row
+    is read at that tuple as the representative.  Rows are in ascending
+    colex order, the order of the base-``(R + 1)`` code with the largest
+    coordinate most significant, so the origin is class 0; a class's index
+    is its colex rank ``sum over i of C(m_i + i, i + 1)``.  A unit step
+    moves one coordinate by +-1 (0 goes to 1 either way) and is sorted
+    again; each step that stays in the box adds ``2 lam``.  The diagonal
+    is ``-4 lam d``, and ``1 - 2 lam d`` at the origin, whose row also
+    carries its two-step targets: ``(0, ..., 0, 2)`` with ``2 d lam`` (the
+    2d doubled steps) and ``(0, ..., 0, 1, 1)`` with ``4 d (d - 1) lam``
+    (2d(d - 1) points, two ordered pairs each).  The class count is checked
+    against ``_CLASS_GUARD`` before anything is allocated.
+    """
+    if d < 1 or not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"need d >= 1 and finite lam > 0, got d={d}, lam={lam}")
+    if R < 2:
+        raise ValueError("R must be >= 2 (row 0 reaches distance-2 targets)")
+    n = math.comb(R + d, d)
+    if n > _CLASS_GUARD:
+        raise ValueError(f"{n} symmetry classes at d={d}, R={R}: beyond the class-count "
+                         f"guard of {_CLASS_GUARD}")
+    # prepending every value up to the current smallest keeps colex order
+    keys = np.arange(R + 1)[:, None]
+    for _ in range(d - 1):
+        reps = keys[:, 0] + 1
+        first = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        keys = np.column_stack([first, np.repeat(keys, reps, axis=0)])
+    binom = np.array([[math.comb(m + i, i + 1) for m in range(R + 2)] for i in range(d)])
+
+    def rank(k):
+        return binom[np.arange(d), k].sum(axis=1)
+
+    idx = np.arange(n)
+    rows, cols, vals = [idx], [idx], [np.full(n, -4.0 * lam * d)]
+    vals[0][0] = 1.0 - 2.0 * lam * d
+    for j in range(d):
+        for sgn in (1, -1):
+            moved = keys.copy()
+            moved[:, j] = np.abs(moved[:, j] + sgn)
+            ok = moved[:, j] <= R
+            rows.append(idx[ok])
+            cols.append(rank(np.sort(moved[ok], axis=1)))
+            vals.append(np.full(len(rows[-1]), 2.0 * lam))
+    two_step = [((0,) * (d - 1) + (2,), 2 * d * lam)]
+    if d > 1:
+        two_step.append(((0,) * (d - 2) + (1, 1), 4 * d * (d - 1) * lam))
+    for tgt, val in two_step:
+        rows.append(np.array([0]))
+        cols.append(rank(np.array([tgt])))
+        vals.append(np.array([val]))
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return matrix, keys
+
+
 def integrate_second_moment(d: int, lam: float, R: int, times) -> SecondMomentResult:
     """Evolve the correlation system from the all-ones start.
 
@@ -389,27 +482,27 @@ def integrate_second_moment(d: int, lam: float, R: int, times) -> SecondMomentRe
 
     Both are read at the origin from vectors that are constant on the
     box's symmetry classes, so the system is integrated on the lumped
-    generator ``Q̂`` (see the module docstring): ``g0`` is ``(exp(tQ̂) 1̂)``
-    and ``leakage`` is ``(exp(tQ̂) 1̂_outer)`` at the origin's class, one
-    :func:`expm_apply` per vector, since its stop rule is relative to each
-    vector's largest entry.  The ``leakage`` entry is far below the
-    largest one and so accurate only absolutely: against a dense
-    ``exp(tQ)`` of the full box (d <= 3, R <= 6, t from 0.1 to 5) its error
-    stayed below ``8e-15`` of that largest entry, which is up to ``2.2e-11``
-    relative to a leakage of ``5e-7`` (d = 1, R = 6, t = 0.1) and at most
-    ``7.8e-14`` wherever the leakage is ``1e-3`` or more.
+    generator ``Q̂`` (see the module docstring), built class by class
+    without the box: ``g0`` is ``(exp(tQ̂) 1̂)`` and ``leakage`` is
+    ``(exp(tQ̂) 1̂_outer)`` at the origin's class, one :func:`expm_apply`
+    per vector, since its stop rule is relative to each vector's largest
+    entry.  The ``leakage`` entry is far below the largest one and so
+    accurate only absolutely: against a dense ``exp(tQ)`` of the full box
+    (d <= 3, R <= 6, t from 0.1 to 5) its error stayed below ``8e-15`` of
+    that largest entry, which is up to ``2.2e-11`` relative to a leakage
+    of ``5e-7`` (d = 1, R = 6, t = 0.1) and at most ``8.3e-14`` wherever
+    the leakage is ``1e-3`` or more.
+
+    Raises ``ValueError`` for ``R < 2`` and when the box has more than
+    ``_CLASS_GUARD`` (400,000) classes, ``C(R + d, d)``: R = 31 is the
+    largest radius at d = 5.
     """
     ts = sorted(times)
     if not all(math.isfinite(t) and t >= 0 for t in ts):
         raise ValueError(f"times must be finite and >= 0, got {ts}")
-    Q = build_q(d, lam, R)
-    # the origin's code is 0, so it is class 0
-    _, reps, cls = np.unique(_class_codes(d, R), return_index=True, return_inverse=True)
-    rows = Q.matrix[reps]
-    lumped = sp.csr_matrix((rows.data, cls[rows.indices], rows.indptr), shape=(len(reps),) * 2)
-    lumped.sum_duplicates()
-    g = np.ones(len(reps))
-    outer = (shell_distances(d, R)[reps] >= R - 1).astype(np.float64)
+    lumped, keys = _class_generator(d, lam, R)
+    g = np.ones(len(keys))
+    outer = (keys[:, -1] >= R - 1).astype(np.float64)
     g0 = []
     leak = []
     prev = 0.0
@@ -443,24 +536,23 @@ def offset_threshold(d: int, f_e1: float) -> float:
     return 1.0 / (4.0 * d * margin)
 
 
-def build_h(d: int, lam: float, hitting: HittingTable, R: int) -> HarmonicH:
-    """Assemble ``h = F_d + b`` on the box, with the offset
-
-    ``b = (4 d lam [1 - (d+1) F_d(e1)] - 1) / (1 + 4 d**2 lam)``,
-
-    requiring ``lam`` strictly above :func:`offset_threshold` so that
-    ``b > 0``.
-    """
-    if hitting.d != d or hitting.radius < R:
-        raise ValueError("hitting table does not cover the requested box")
-    e1 = (1,) + (0,) * (d - 1)
-    f1 = hitting.lookup(e1)
-    thr = offset_threshold(d, f1)
+def offset(d: int, lam: float, f_e1: float) -> float:
+    """The offset ``b = (4 d lam [1 - (d+1) F_d(e1)] - 1) / (1 + 4 d**2 lam)``
+    from the hitting probability ``f_e1 = F_d(e1)``, requiring ``lam``
+    strictly above :func:`offset_threshold` so that ``b > 0``."""
+    thr = offset_threshold(d, f_e1)
     if lam <= thr:
         raise ValidityError(
             f"lam = {lam} at or below the offset threshold {thr:.6f} for d = {d}"
         )
-    b = (4.0 * d * lam * (1.0 - (d + 1) * f1) - 1.0) / (1.0 + 4.0 * d * d * lam)
+    return (4.0 * d * lam * (1.0 - (d + 1) * f_e1) - 1.0) / (1.0 + 4.0 * d * d * lam)
+
+
+def build_h(d: int, lam: float, hitting: HittingTable, R: int) -> HarmonicH:
+    """Assemble ``h = F_d + b`` on the box, with the :func:`offset` ``b``."""
+    if hitting.d != d or hitting.radius < R:
+        raise ValueError("hitting table does not cover the requested box")
+    b = offset(d, lam, hitting.lookup((1,) + (0,) * (d - 1)))
     # a key (sorted |coordinates|) is a box point of its own class
     codes = _class_codes(d, R)
     keys = np.array(list(hitting.classes))

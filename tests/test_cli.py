@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -220,6 +221,25 @@ def test_moments_rows_in_ascending_time_with_repeats(capsys):
     rows = parse_csv(out)
     assert [float(r["t"]) for r in rows] == [0.5, 1.0, 1.0]
     assert rows[1] == rows[2]
+
+
+def test_moments_past_the_box_guard(capsys):
+    # R = 8 has 1,287 classes against 17**5 = 1.42M box points; the bound
+    # column reads F_5(e1) alone, not a radius-8 hitting table
+    code, out = run_cli(capsys, "moments", "--d", "5", "--lambda", "0.3", "--radius", "8",
+                        "--times", "1")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert math.isfinite(float(row["bound"])) and 1 < float(row["g0"]) < float(row["bound"])
+
+
+def test_moments_class_count_guard_exit_code(capsys):
+    code = main(["moments", "--d", "5", "--lambda", "0.3", "--radius", "32", "--times", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: 435897 symmetry classes at d=5, R=32: beyond the "
+                            "class-count guard of 400000\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf"])

@@ -221,6 +221,62 @@ def test_expm_block_matches_dense_expm():
         assert np.abs(expm_apply(Q, np.eye(Q.size), t) - scipy.linalg.expm(t * A)).max() < 1e-12
 
 
+class CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its ``dot`` calls."""
+
+    calls = 0
+
+    def dot(self, other):
+        CountingCSR.calls += 1
+        return super().dot(other)
+
+
+def dot_calls(A, v, t):
+    CountingCSR.calls = 0
+    w = expm_apply(CountingCSR(A), v, t)
+    return w, CountingCSR.calls
+
+
+def test_expm_nonnegative_long_substeps_match_dense_expm():
+    # a Metzler Q and v >= 0: substeps reach tau * alpha <= 16, not 2
+    Q = build_q(2, 0.3, 3)
+    t = 30.0
+    E = scipy.linalg.expm(t * Q.matrix.toarray())
+    for v in (np.ones(Q.size), np.eye(Q.size)):
+        w, calls = dot_calls(Q.matrix, v, t)
+        assert rel_dev(w, E @ v) < 1e-12
+        # the same action on -v is signed, so it keeps the short substeps
+        w_neg, calls_neg = dot_calls(Q.matrix, -v, t)
+        assert rel_dev(w_neg, -(E @ v)) < 1e-12
+        assert 3 * calls < calls_neg
+
+
+def test_expm_substep_at_the_long_bound_stops_inside_the_term_cap():
+    for d, lam, R in ((1, 0.3, 2), (2, 0.3, 3), (3, 0.9, 3), (5, 0.3, 4)):
+        A = build_q(d, lam, R).matrix
+        diag = A.diagonal()
+        mu = -float(diag.min())
+        alpha = moments._power_norm(A, diag, mu, True)
+        t = 16.0 / alpha * (1 - 1e-9)  # one substep, just inside the bound
+        _, calls = dot_calls(A, np.ones(A.shape[0]), t)
+        assert calls - 8 <= 60  # the power norm takes 8; the term cap is 119
+
+
+def test_metzler_check_reads_stored_entries():
+    A = build_q(2, 0.3, 3).matrix
+    assert moments._is_metzler(A, A.diagonal())
+    B = A.tolil()
+    B[1, 2] = -1e-300
+    B = B.tocsr()
+    assert not moments._is_metzler(B, B.diagonal())
+    assert not moments._is_metzler(B.tocoo(), B.diagonal())
+    # a negative diagonal stored in two parts errs towards "not Metzler"
+    C = sp.coo_matrix(([-1.0, -1.0, 1.0], ([0, 0, 0], [0, 0, 1])), shape=(2, 2))
+    assert not moments._is_metzler(C, C.diagonal())
+    D = sp.coo_matrix(([-3.0, 1.0, 1.0], ([0, 0, 0], [0, 0, 1])), shape=(2, 2))
+    assert moments._is_metzler(D, D.diagonal())
+
+
 @pytest.mark.parametrize("d, lam, R", [(1, 0.3, 2), (2, 0.3, 6), (3, 0.3, 4)])
 def test_q_invariants_hold(d, lam, R):
     # (3, 0.3, 4) has 729 points, so 25 evenly spaced exp(tQ) columns are read
@@ -369,6 +425,54 @@ def test_lumped_second_moment_matches_full_box(d, lam, R):
     assert res.g0 == pytest.approx(g0, rel=1e-12, abs=0)
     assert res.leakage == pytest.approx(leak, rel=1e-12, abs=0)
     assert res.g0[0] == 1.0 and res.leakage[0] == 0.0
+
+
+def lumped_from_box(d, lam, R):
+    """Reference: ``Q̂`` lumped from the full box, each class's first point's
+    row of ``Q`` summed over the target classes, classes in code order."""
+    Q = build_q(d, lam, R)
+    _, reps, cls = np.unique(moments._class_codes(d, R), return_index=True, return_inverse=True)
+    rows = Q.matrix[reps]
+    lumped = sp.csr_matrix((rows.data, cls[rows.indices], rows.indptr), shape=(len(reps),) * 2)
+    lumped.sum_duplicates()
+    mags = np.sort(np.abs([box_coords(int(r), d, R) for r in reps]), axis=1)
+    return Q, lumped, mags
+
+
+@pytest.mark.parametrize("d, lam, R", [(d, 0.3, R) for d in range(1, 6) for R in (2, 3, 4)]
+                         + [(5, 0.1, 2), (5, 0.1, 4)])
+def test_class_generator_matches_box_lumping(d, lam, R):
+    Q, want, mags = lumped_from_box(d, lam, R)
+    got, keys = moments._class_generator(d, lam, R)
+    assert np.array_equal(keys, mags)
+    # the same stored entries, the origin's explicit 0.0 at lam = 1/(2d) included
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    tol = 4 * np.finfo(np.float64).eps * q_norm_bound(Q)
+    assert np.abs(got.data - want.data).max() <= tol
+    if 2 * lam * d == 1:
+        assert got[0, 0] == 0.0 and got.nnz == want.nnz
+
+
+def test_class_generator_guard(monkeypatch):
+    with pytest.raises(ValueError, match="R must be >= 2"):
+        moments._class_generator(2, 0.3, 1)
+    monkeypatch.setattr(moments, "_CLASS_GUARD", math.comb(8 + 5, 5))
+    assert integrate_second_moment(5, 0.3, 8, [0.5]).g0[0] > 1
+    with pytest.raises(ValueError, match="beyond the class-count guard of 1287"):
+        integrate_second_moment(5, 0.3, 9, [0.5])
+
+
+def test_second_moment_past_the_box_guard_stays_below_the_bound():
+    # R = 16 has 20,349 classes, against 33**5 = 39.1M box points; the size
+    # was fixed from a 3 s budget (0.4 s measured) before any value was read
+    d, lam, R = 5, 0.3, 16
+    with pytest.raises(ValueError, match="box beyond the resource guard"):
+        build_q(d, lam, R)
+    f_e1 = walk.hitting_table(d, 1).lookup((1, 0, 0, 0, 0))
+    b = moments.offset(d, lam, f_e1)
+    res = integrate_second_moment(d, lam, R, [5.0, 10.0, 20.0])
+    assert all(1 < g <= (1 + b) / b for g in res.g0)
+    assert res.g0 == sorted(res.g0)
 
 
 def test_harmonic_on_constants_vanishes_off_origin():
