@@ -228,14 +228,16 @@ def _power_norm(A, diag: np.ndarray, mu: float, metzler: bool) -> float:
 
 
 def _is_metzler(A, diag: np.ndarray) -> bool:
-    """Whether no stored off-diagonal entry of the sparse ``A`` is negative.
+    """Whether no stored off-diagonal entry of ``A`` is negative (formats
+    other than CSR, CSC and COO, dense arrays included, are read through a
+    CSR copy).
 
     A negative diagonal entry has at least one negative stored part, so
     ``A`` has no more negative stored entries than negative diagonal ones
     only if none off the diagonal is negative.  Duplicate parts that sum
     to a nonnegative entry read as negative: the answer errs towards no.
     """
-    data = A.data if A.format in ("csr", "csc", "coo") else A.tocsr().data
+    data = A.data if getattr(A, "format", None) in ("csr", "csc", "coo") else sp.csr_array(A).data
     return np.count_nonzero(data < 0) == np.count_nonzero(diag < 0)
 
 

@@ -270,6 +270,8 @@ def test_metzler_check_reads_stored_entries():
     B = B.tocsr()
     assert not moments._is_metzler(B, B.diagonal())
     assert not moments._is_metzler(B.tocoo(), B.diagonal())
+    assert moments._is_metzler(A.toarray(), A.diagonal())
+    assert not moments._is_metzler(B.toarray(), B.diagonal())
     # a negative diagonal stored in two parts errs towards "not Metzler"
     C = sp.coo_matrix(([-1.0, -1.0, 1.0], ([0, 0, 0], [0, 0, 1])), shape=(2, 2))
     assert not moments._is_metzler(C, C.diagonal())
