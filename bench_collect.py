@@ -18,12 +18,15 @@ the pairs, each side's median and quartiles and the change's win count
 ``BENCHMARK.json``).  It also holds every failed op with its workload,
 seed and side, each side's ``src_tocp_loc``, and per-test durations of
 ``tests/test_acceptance.py`` from one ``--junitxml`` run per side.
+SIGTERM stops the script as Ctrl-C does: the running ``run.py`` is
+killed and the parent export removed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -112,7 +115,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _exit_on_sigterm(signum, _frame):
+    # SystemExit unwinds like Ctrl-C: subprocess.run kills the running
+    # perfbench child, and the parent export's TemporaryDirectory is removed
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--pr", required=True, type=int, help="writes BENCH_<PR>.json")

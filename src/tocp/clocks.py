@@ -14,11 +14,26 @@ stream (Salmon et al., SC'11) ``(seed, replica, kind)`` is a splitmix64
 mix (Steele, Lea & Flood, OOPSLA 2014) of the four.  The count stream
 gives a Poisson number of events per observation interval, the mark
 stream event ``k``'s uniform vertex and infect mark, and the time stream
-the set engines' waits and marks.  By superposition and marking (Kingman,
-*Poisson Processes*, 1993, ch. 2, 5) replica 0 over ``[0, horizon]`` has
-the law of the merged clocks, and that is the schedule; its sorted times
-read the time stream of id ``2**64 - 1``, which no engine replica reads.
-Seeds lie in ``[0, 2**64)``; dumps are version 2.
+the set engines' waits and marks.
+
+Vertex ids come in tiles of ``_TILE`` (1024) consecutive ids, and each
+tile of a replica has count and mark streams of its own (:func:`_tile_keys`):
+per observation interval a Poisson count for the tile's clocks and, in
+stream order, their events.  By superposition and marking (Kingman,
+*Poisson Processes*, 1993, ch. 2, 5) the tiles together have the law of
+all the clocks, once each tile's events in an interval sit at sorted
+uniform times, assigned in stream order.  Those times are drawn only
+where tiles merge (:class:`_Merge`): a reader of one tile, such as a
+light cone inside it, takes its events in stream order and draws no
+time.  A merge runs in rounds of a bounded number of draws, so its
+buffers do not grow with the event count.  A graph of at most ``_TILE``
+vertices is one tile, which reads the replica's own streams as before
+there were tiles.
+
+Replica 0 over ``[0, horizon]`` is the schedule.  A one-tile schedule's
+sorted times read the time stream of id ``2**64 - 1``, which no engine
+replica reads; with several tiles its events are merged by, and carry,
+their merge times.  Seeds lie in ``[0, 2**64)``; dumps are version 2.
 """
 from __future__ import annotations
 
@@ -54,6 +69,12 @@ _COUNTS, _MARKS, _TIMES = 0, 1, 2
 _POISSON_PIECE = 1 << 20
 # events a schedule decodes at once: bounds the temporaries of a long schedule
 _EVENT_CHUNK = 1 << 18
+# Vertex ids come in tiles of _TILE consecutive ids, each with streams of its
+# own (see _tile_keys); every torus the suite and the benchmark run is one tile.
+_TILE = 1024
+# Time keys a merge round draws at once, over all its rows and tiles (2 MiB
+# of float64): bounds a round's buffers whatever the event count.
+_MERGE_CELLS = 1 << 18
 
 
 @dataclass
@@ -145,24 +166,41 @@ def _event_counts(count_keys: np.ndarray, interval: int, table) -> np.ndarray:
     return n
 
 
-class _Draws:
-    """Buffers for the marks of up to ``cells`` events of a ``V``-vertex graph.
+def _tiles(V: int) -> np.ndarray:
+    """Sizes of the tiles of a ``V``-vertex graph: tile ``t`` holds the ids
+    from ``t * _TILE``, ``_TILE`` of them but in the last tile."""
+    return np.minimum(_TILE, V - np.arange(0, V, _TILE))
 
-    Event ``k`` (from 0) of a row is its mark stream's value ``k + 1``,
-    ``z``.  Its mark is ``r = (z >> b) * V / 2**(64 - b)`` in ``[0, V)``,
-    with ``V < 2**b``: it rings vertex ``u = floor(r)``, and its fraction
-    ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)`` given
-    ``u``.  The product ``(z >> b) * V`` is exact in uint64.
+
+def _tile_keys(seed: int, ids, tiles, kind: int) -> np.ndarray:
+    """Keys ``(len(ids), len(tiles))`` of the streams of tiles ``tiles`` of
+    replicas ``ids`` (below ``2**32``): tile ``t`` of replica ``i`` reads the
+    streams of id ``i + t * 2**32``, so tile 0 reads the replica's own."""
+    tiles = np.asarray(tiles).astype(np.uint64) << np.uint64(32)
+    return _stream_keys(seed, np.asarray(ids).astype(np.uint64)[:, None] | tiles, kind)
+
+
+class _Draws:
+    """Buffers for the marks of up to ``cells`` events of tile ``tile`` of a
+    ``V``-vertex graph.
+
+    Event ``k`` (from 0) of a row's tile is its mark stream's value
+    ``k + 1``, ``z``.  With ``S`` the tile's size and ``S < 2**b`` (``b``
+    is set by ``min(V, _TILE)``, so a graph of one tile reads its marks as
+    before there were tiles), its mark is ``r = (z >> b) * S / 2**(64 - b)``
+    in ``[0, S)``: it rings the tile's vertex ``u = floor(r)``, and its
+    fraction ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)``
+    given ``u``.  The product ``(z >> b) * S`` is exact in uint64.
     """
 
-    def __init__(self, cells, V):
-        self.V, self.b = V, V.bit_length()
+    def __init__(self, cells, V, tile=0):
+        self.V, self.b = min(_TILE, V - tile * _TILE), min(V, _TILE).bit_length()
         self.z = np.empty(cells, dtype=np.uint64)
         self.u = np.empty(cells, dtype=np.int64)
 
     def marks(self, base, s, c, by_pass=False):
-        """``(z, u)``: products and vertices of events ``s .. s + c - 1`` of
-        the rows whose event 0 is stream value ``base``, of shape
+        """``(z, u)``: products and tile vertices of events ``s .. s + c - 1``
+        of the rows whose event 0 is stream value ``base``, of shape
         ``(len(base), c)``, or ``(c, len(base))`` if ``by_pass``."""
         k = len(base)
         shape = (c, k) if by_pass else (k, c)
@@ -186,6 +224,117 @@ class _Draws:
         return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
 
 
+class _Merge:
+    """The events of tiles ``tiles`` of the replicas ``ids`` of a ``V``-vertex
+    graph, merged by time, one observation interval at a time, in rounds.
+
+    In interval ``j`` tile ``t`` of a row has ``n`` events (its count
+    stream), in its mark stream's order.  Event ``m`` of them (from 0, at
+    stream position ``p``) has the time key ``X_m = X_{m-1} + E_m / (n - m)``,
+    ``X_{-1} = 0``, where ``E_m = -log1p(-u)`` reads value ``2**63 + p + 1`` of
+    the mark stream, which no mark reads.  The ``X_m`` are ``n`` sorted
+    exponentials (Renyi, *Acta Math. Acad. Sci. Hung.* 4, 1953), so
+    ``1 - exp(-X_m)`` are ``n`` sorted uniforms: the events' times, as
+    fractions of the interval, in stream order.  The tiles' events merge by
+    ``(X, tile, m)``.  The sums run left to right, so a key does not depend
+    on how the draws are split.  One tile needs no keys: its events come in
+    stream order.
+
+    A round draws the next keys of every tile of every row, at most
+    ``_MERGE_CELLS`` in all, and a row emits its events up to its earliest
+    last-drawn key of a tile with events left: no undrawn event comes
+    before them.  Keys drawn past that point are drawn again next round.
+    """
+
+    def __init__(self, seed, ids, tiles, V):
+        tiles = np.asarray(tiles, dtype=np.int64)
+        self.V, self.b = V, min(V, _TILE).bit_length()
+        self.size, self.start = _tiles(V)[tiles].astype(np.uint64), tiles * _TILE
+        self.counts = _tile_keys(seed, ids, tiles, _COUNTS)
+        self.marks = _tile_keys(seed, ids, tiles, _MARKS) + _GAMMA  # each tile's next value
+        self.left = np.zeros(self.counts.shape, dtype=np.int64)  # events left in the interval
+        self.key = np.zeros(self.counts.shape)  # the last emitted time key
+
+    def interval(self, j, tables):
+        """Start interval ``j``, with ``tables[size]`` the Poisson table of a
+        ``size``-vertex tile."""
+        k = len(self.left)
+        for size in np.unique(self.size):
+            cols = self.size == size
+            n = _event_counts(self.counts[:, cols].reshape(-1), j, tables[int(size)])
+            self.left[:, cols] = n.reshape(k, -1)
+        self.key[:] = 0.0
+
+    def keep(self, rows):
+        """Keep the rows ``rows`` (a mask or indices) alone, in that order."""
+        self.counts, self.marks, self.left, self.key = (
+            a[rows] for a in (self.counts, self.marks, self.left, self.key))
+
+    def next(self, most=None, by_pass=False, times=False):
+        """``(u, q)``: the vertices and fractions of each row's next events,
+        about ``most`` a row at most, of shape ``(rows, c)``, or ``(c, rows)``
+        if ``by_pass``.  Rows with fewer events pad with heals (``q = 1``) at
+        the phantom vertex ``V``.  With ``times`` (several tiles, row-major),
+        also each event's time as a fraction of the interval (padding 1).
+        ``None`` once no row has events left."""
+        k, T = self.left.shape
+        look = max(1, min(_MERGE_CELLS // max(1, k * T), -(-(most or _MERGE_CELLS) // T)))
+        drawn = np.minimum(self.left, look)
+        c = int(drawn.max(initial=0))
+        if c == 0:
+            return None
+        steps = _steps(np.arange(c))
+        if T == 1:
+            emit = drawn[:, 0]
+            z = self.marks[:, 0] + steps[:, None] if by_pass else self.marks + steps
+            u, q = self._decode(_mix(z), self.size[0], self.start[0])
+        else:
+            z = _mix(self.marks[:, :, None] + (np.uint64(1 << 63) + steps))
+            x = np.multiply(np.right_shift(z, np.uint64(11), out=z), -(2.0**-53))
+            np.negative(np.log1p(x, out=x), out=x)
+            # events left from each slot on, in the draws' buffer
+            n = np.subtract(self.left[:, :, None], np.arange(c), out=z.view(np.int64))
+            x /= np.maximum(n, 1, out=n)
+            x[:, :, 0] += self.key
+            np.cumsum(x, axis=2, out=x)
+            last = np.take_along_axis(x, (drawn - 1).clip(0)[:, :, None], axis=2)[:, :, 0]
+            last[self.left <= look] = np.inf  # a tile drawn to its end bounds nothing
+            front, first = last.min(axis=1)[:, None, None], last.argmin(axis=1)[:, None, None]
+            out = (x > front) | ((x == front) & (np.arange(T)[:, None] > first))
+            out |= np.arange(c) >= drawn[:, :, None]
+            drawn = c - np.count_nonzero(out, axis=2)  # events emitted, per row and tile
+            got = np.take_along_axis(x, (drawn - 1).clip(0)[:, :, None], axis=2)[:, :, 0]
+            np.copyto(self.key, got, where=drawn > 0)
+            np.copyto(x, np.inf, where=out)
+            x = x.reshape(k, T * c)
+            emit = drawn.sum(axis=1)
+            order = np.argsort(x, axis=1, kind="stable")[:, : emit.max()]
+            order = order + np.arange(0, x.size, T * c)[:, None]  # as flat indices
+            if by_pass:
+                order = order.T
+            x = -np.expm1(-x.reshape(-1).take(order)) if times else None
+            z = _mix(np.add(self.marks[:, :, None], steps, out=z))  # every drawn slot's mark
+            u, q = (a.reshape(-1).take(order)
+                    for a in self._decode(z, self.size[:, None], self.start[:, None]))
+        c = u.shape[0] if by_pass else u.shape[1]
+        if emit.min() < c:
+            pad = np.arange(c)[:, None] >= emit if by_pass else np.arange(c) >= emit[:, None]
+            u[pad], q[pad] = self.V, 1.0
+        self.marks += _steps(drawn)
+        self.left -= drawn
+        return (u, q, x) if times else (u, q)
+
+    def _decode(self, z, size, start):
+        """Vertices and fractions of the marks ``z`` of tiles of ``size``
+        vertices from id ``start`` (see :class:`_Draws`), over ``z``."""
+        np.right_shift(z, np.uint64(self.b), out=z)
+        z *= size
+        u = (z >> np.uint64(64 - self.b)).view(np.int64)
+        u += start
+        z &= np.uint64((1 << (64 - self.b)) - 1)
+        return u, np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
+
+
 def _set_draws(keys, k, c):
     """``(waits, marks)``, each ``(c, len(keys))``: events ``k .. k + c - 1`` of the time streams
     with keys ``keys``, whose values ``2k + 1`` give waits ``-log1p(-u)`` and ``2k + 2`` marks."""
@@ -200,6 +349,8 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     Event ``k`` infects iff its mark's fraction is below ``lam / (1 + lam)``.
     Replayed to ``horizon``, the schedule gives replica 0 of ``spin_replicas``
     and ``counts_replicas`` at ``obs_times=[horizon]`` and ``seed``, bit for bit.
+    On a graph of several tiles the events are merged by time as the
+    engines merge them, and their times are the merge times.
 
     Parameters
     ----------
@@ -218,6 +369,8 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"need finite horizon >= 0, got horizon={horizon}")
     V = graph.n_vertices
+    if V > _TILE:
+        return _merged_schedule(V, lam, horizon, seed)
     counts, marks = (_stream_keys(seed, [0], kind) for kind in (_COUNTS, _MARKS))
     clock = _stream_keys(seed, [2**64 - 1], _TIMES)  # a time stream no engine replica reads
     mu = V * (1.0 + lam) * horizon
@@ -235,6 +388,22 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
         times[s : s + c] = (z + 0.5) * (2.0**-52 * horizon)
     times.sort()
     return ClockSchedule(V, lam, horizon, seed, times, verts, kinds)
+
+
+def _merged_schedule(V, lam, horizon, seed):
+    """Replica 0's events on a graph of several tiles, merged by time, at
+    their merge times (:class:`_Merge`)."""
+    tiles = _tiles(V)
+    merge = _Merge(seed, [0], np.arange(len(tiles)), V)
+    if horizon > 0:
+        merge.interval(0, {int(n): _poisson_table(n * (1.0 + lam) * horizon)
+                           for n in np.unique(tiles)})
+    rounds = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
+    while (ev := merge.next(times=True)) is not None:
+        rounds.append([a[0] for a in ev])  # one row, so no padding
+    verts, fracs, times = (np.concatenate(a) for a in zip(*rounds))
+    return ClockSchedule(V, lam, horizon, seed, times * horizon, verts,
+                         (fracs < lam / (1.0 + lam)).astype(np.int8))
 
 
 def merged_events(schedule: ClockSchedule):

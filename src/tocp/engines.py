@@ -2,10 +2,13 @@
 
 The schedule-driven machinery in :mod:`tocp.processes` is exact but
 touches one event at a time, which is too slow for estimators that need
-10^5 independent replicas.  The engines here read the merged event
-streams of :mod:`tocp.clocks` instead: per replica, Poisson events at
-rate ``V * (1 + lam)``, each at a uniform vertex, an infect event with
-probability ``lam / (1 + lam)``.
+10^5 independent replicas.  The engines here read the event streams of
+:mod:`tocp.clocks` instead: per replica and tile of ``_TILE`` vertex ids,
+Poisson events at rate ``(tile size) * (1 + lam)``, each at a uniform
+vertex of the tile, an infect event with probability ``lam / (1 + lam)``.
+A run reads the tiles it needs: the full graph all of them, merged by
+time (:class:`tocp.clocks._Merge`), and a light cone the tiles its ball
+meets, in stream order if that is one tile.
 
 One private lock-step kernel advances the replicas of all four
 lock-step engines, one event per replica per pass, with the per-event
@@ -19,9 +22,9 @@ The zeta drift multiplies every coordinate by the same factor
 the sum and with healing: zeta at time t is ``exp((1 - 2*lam*d) * t)``
 times the drift-free sum.  The state at an observation time therefore
 depends only on the event *sequence*, so event counts per observation
-interval are drawn Poisson and no event times are generated at all.
-Replicas whose configuration is absorbed (all zero; all ``+inf`` for
-threshold levels) are retired, and a block stops as soon as none is
+interval are drawn Poisson, and event times are drawn only to merge
+tiles.  Replicas whose configuration is absorbed (all zero; all ``+inf``
+for threshold levels) are retired, and a block stops as soon as none is
 left.
 
 Determinism: every replica reads its own count and mark streams, so a
@@ -38,8 +41,11 @@ holds replica 0's events (:func:`tocp.clocks.build_schedule`).
 Light cone: each run goes first to the ball ``B_r(x)`` around the
 observed vertex, from the same streams, twice: with the cells outside
 held at the blank value (``low``) and at the full value (``high``).  It
-reads each replica's whole mark stream but folds only the events at ball
-vertices.  Where ``low`` and ``high`` agree at ``x`` at every observation
+reads the mark streams of the tiles the ball meets, merged by time as
+the full graph merges them if there are several, and folds only the
+events at ball vertices.  A tile's events keep their stream order on
+every path, so the ball's events come in the full graph's order.  Where
+``low`` and ``high`` agree at ``x`` at every observation
 time they are the full graph's value, bit for bit; only the other
 replicas are rerun, on the ball of radius ``r + ceil(r/2)`` while it
 holds at most half the graph and then on the full graph, so one open row
@@ -94,8 +100,8 @@ import math
 
 import numpy as np
 
-from .clocks import (_COUNTS, _GAMMA, _MARKS, _TIMES, _Draws, _event_counts, _poisson_table,
-                     _set_draws, _steps, _stream_keys)
+from .clocks import (_COUNTS, _GAMMA, _MARKS, _TILE, _TIMES, _Draws, _event_counts, _Merge,
+                     _poisson_table, _set_draws, _steps, _stream_keys, _tile_keys, _tiles)
 from .graphs import FiniteGraph, require_materialized
 
 __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
@@ -130,6 +136,9 @@ _BALL_PASSES = 64
 # Stream values a group of light-cone rows draws and filters at once (1 MiB
 # of uint64).
 _DRAW_CELLS = 128 * 1024
+# Full-graph passes between scans for absorbed rows: V + 1 on larger graphs.
+# On small ones this floor keeps merge rounds long enough to pay for their set-up.
+_SCAN_PASSES = 64
 _DUAL_CELLS = 1 << 13  # replicas per dual block, and events a round draws at most
 # Count cells per branching block: a block's live rows and their cumulative
 # counts stay a few hundred kB whatever ``n_replicas`` is.
@@ -151,6 +160,26 @@ def _check_obs(obs_times) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # per-replica streams
+
+
+def _tile_hits(draw, base, n_ev, keep, local, seg, group):
+    """Yield ``(rows, local[vertices], fractions)`` per segment of ``seg``
+    events of one tile's streams (see :func:`_hits`), ``group`` rows drawn
+    at once."""
+    for s in range(0, int(n_ev.max()), seg):
+        c = int(min(seg, n_ev.max() - s))
+        parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group], keep, local, g)
+                 for g in range(0, len(base), group)]
+        yield tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _merged_hits(merge, keep, local):
+    """Yield ``(rows, local[vertices], fractions)`` per round of ``merge``
+    for the events at vertices ``v`` with ``keep[v]``."""
+    while (ev := merge.next()) is not None:
+        u, q = ev
+        f = np.flatnonzero(keep.take(u))
+        yield f // u.shape[1], local.take(u.reshape(-1)[f]), q.reshape(-1)[f]
 
 
 def _hits(draw, base, s, c, n_ev, keep, local, row0):
@@ -198,7 +227,7 @@ def _radius(graph: FiniteGraph, x: int, lam: float, t_end: float, m: int) -> int
     or ``None`` for the full graph.
 
     The full graph runs where the ball is not much smaller than the graph,
-    and at long horizons: a light-cone row reads its whole stream, but a
+    and at long horizons: a light-cone row reads its tiles' whole streams, but a
     full-graph row stops once all its cells are blank, which from ``m``
     cells takes at least the last of ``m`` unit-rate heals, about
     ``ln m`` time units.  Rows the ball leaves open try wider balls
@@ -222,17 +251,19 @@ class _Kernel:
         self.x, self.seed, self.fold = x, seed, fold
         self.dtype = np.uint8 if fold is np.maximum else np.float64
         self.p_inf = lam / (1.0 + lam)
-        rate = self.V * (1.0 + lam)
-        self.tables = [_poisson_table(rate * dt) if dt > 0 else None
-                       for dt in np.diff(obs, prepend=0.0)]
+        self.sizes = _tiles(self.V)
+        # per interval: the Poisson table of each tile size
+        self.tables = [{int(n): _poisson_table(n * (1.0 + lam) * dt) for n in np.unique(self.sizes)}
+                       if dt > 0 else None for dt in np.diff(obs, prepend=0.0)]
         # float64 sums of integers are exact below 2**53
         self.exact = 2.0**53 if fold is np.add else None
         self.blank, self.full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
         self.init = np.full(self.V + 1, self.blank, dtype=self.dtype)
         self.init[: self.V] = self.full if initial is None else np.asarray(initial, self.dtype)
 
-    def keys(self, ids):
-        return _stream_keys(self.seed, ids, _COUNTS), _stream_keys(self.seed, ids, _MARKS)
+    def keys(self, ids, tile):
+        """Count and mark stream keys of tile ``tile`` of replicas ``ids``."""
+        return tuple(_tile_keys(self.seed, ids, [tile], kind)[:, 0] for kind in (_COUNTS, _MARKS))
 
     def buffers(self, rows):
         """Work arrays for ``passes`` over up to ``rows`` rows, made once per
@@ -274,8 +305,8 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, initial=N
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"need finite lam >= 0, got lam={lam}")
-    if n_replicas < 1:
-        raise ValueError(f"need n_replicas >= 1, got n_replicas={n_replicas}")
+    if not 1 <= n_replicas < 2**32:  # replica ids share a stream id with tile numbers (_tile_keys)
+        raise ValueError(f"need n_replicas >= 1 and below 2**32, got n_replicas={n_replicas}")
     require_materialized(graph)
     kern = _Kernel(graph, lam, obs, observe_vertex, seed, fold, initial)
     out = np.full((len(obs), n_replicas), kern.blank, dtype=kern.dtype)
@@ -294,64 +325,56 @@ def _lockstep(graph, lam, obs, observe_vertex, n_replicas, seed, fold, initial=N
 
 
 def _full(kern, rows, out):
-    """Run replicas ``rows`` on the full graph into ``out``'s columns ``rows``."""
+    """Run replicas ``rows`` on the full graph into ``out``'s columns ``rows``.
+
+    A block's rows read every tile, merged by time (:class:`_Merge`), in
+    rounds of at most ``every`` passes.  Its live rows are scanned for
+    absorbed ones once every ``every`` passes, at least ``V + 1``: at most
+    one cell read per row-event.  Absorbed rows retire.
+    """
     if len(rows) == 0:
         return
-    cn, w, V, blank = kern.cn, kern.w, kern.V, kern.blank
+    cn, V, blank = kern.cn, kern.V, kern.blank
     stride = V + 1
+    every = max(stride, _SCAN_PASSES)
     bs = max(256, min(len(rows), _BLOCK_CELLS // stride))
-    n_rows = min(bs, len(rows))
-    n_draw = max(_CHUNK_CELLS // w, n_rows)
-    draw = _Draws(n_draw, V)
-    bufs = kern.buffers(n_rows)
-    state_buf = np.empty((n_rows, stride), dtype=kern.dtype)  # one block's state at a time
+    bufs = kern.buffers(min(bs, len(rows)))
+    state_buf = np.empty((min(bs, len(rows)), stride), dtype=kern.dtype)  # one block at a time
     for lo in range(0, len(rows), bs):
         ids = rows[lo : lo + bs]
-        count_keys, base = kern.keys(ids)
-        base += _GAMMA  # from here on, each row's next stream value
         state = state_buf[: len(ids)]
         state[:] = kern.init
         flat = state.reshape(-1)
         off = np.flatnonzero(_live(state, blank)) * stride  # live rows, as offsets
-        base = base[off // stride]
-        work = 0
-        for j, table in enumerate(kern.tables):
-            if len(off) == 0:
-                break
-            if table is not None:
-                n_ev = _event_counts(count_keys[off // stride], j, table)
-                # sorted by event count, the rows still active at pass s are a prefix
-                order = np.argsort(-n_ev, kind="stable")
-                off, base, neg = off[order], base[order], -n_ev[order]
-                s = 0
-                while len(off) and (k := int(np.searchsorted(neg, -s))):
-                    # passes until the prefix shrinks, within the index buffer
-                    c = int(min(max(1, _CHUNK_CELLS // (w * k)), -neg[k - 1] - s))
-                    z, u = draw.marks(base[:k], s, c, by_pass=True)
-                    kern.passes(flat, cn, off[:k], u, draw.fractions(z), bufs)
-                    s += c
-                    work += c * k
-                    # retire blank rows: a scan of the block once per as many
-                    # row events costs about one sequential cell read per event
-                    if work >= state.size:
-                        work = 0
-                        alive = _live(state, blank)[off // stride]
-                        off, base, neg = off[alive], base[alive], neg[alive]
-                base += _steps(-neg)
+        merge = _Merge(kern.seed, ids[off // stride], np.arange(len(kern.sizes)), V)
+        since = 0  # passes since the live rows were last scanned
+        for j, tables in enumerate(kern.tables):
+            if len(off) and tables is not None:
+                merge.interval(j, tables)
+                while len(off) and (ev := merge.next(every, by_pass=True)) is not None:
+                    u, q = ev
+                    kern.passes(flat, cn, off, u, q, bufs)
+                    since += len(u)
+                    if since >= every:
+                        since = 0
+                        alive = _live(state[off // stride], blank)
+                        off = off[alive]
+                        merge.keep(alive)
             out[j, ids[off // stride]] = flat[off + kern.x]
 
 
 def _cone(kern, ball, rows, out):
     """Run replicas ``rows`` on the ball, twice; return the rows left open.
 
-    Each row reads its whole event stream but folds only the events at
-    ball vertices, into two states: cells outside the ball held at the
-    blank value, and at the full value.  Where the two agree at the
-    observed vertex at every observation time, they equal the full-graph
-    value, bit for bit (see the module docstring), and go to ``out``;
-    the rows where they differ are returned, and so are the sum rows
-    whose upper run reaches ``2**53``.  ``out`` keeps the lower run's value
-    of an open row, which is blank wherever the full-graph row is.
+    Each row reads the tiles that meet the ball, merged by time if there
+    are several, but folds only the events at ball vertices, into two
+    states: cells outside the ball held at the blank value, and at the
+    full value.  Where the two agree at the observed vertex at every
+    observation time, they equal the full-graph value, bit for bit (see
+    the module docstring), and go to ``out``; the rows where they differ
+    are returned, and so are the sum rows whose upper run reaches
+    ``2**53``.  ``out`` keeps the lower run's value of an open row, which
+    is blank wherever the full-graph row is.
     """
     V, blank = kern.V, kern.blank
     nb = len(ball)
@@ -363,39 +386,48 @@ def _cone(kern, ball, rows, out):
     # the phantom's closed neighbourhood is itself: padded events fold nothing
     cn = np.full((kern.w, stride), phantom, dtype=np.int64)
     cn[:, :nb] = loc[kern.cn[:, ball]]
-    in_ball = np.zeros(V, dtype=bool)
+    in_ball = np.zeros(V + 1, dtype=bool)
     in_ball[ball] = True
     init = np.full((2, stride), blank, dtype=kern.dtype)  # outside blank, outside full
     init[:, :nb] = kern.init[ball]
     init[1, outside] = kern.full
+    tiles = np.unique(ball // _TILE)
+    if len(tiles) == 1:  # one tile, read in stream order
+        t = int(tiles[0])
+        size = int(kern.sizes[t])
+        draw = _Draws(_DRAW_CELLS, V, t)
+        tile_ball = in_ball[t * _TILE : t * _TILE + size], loc[t * _TILE : t * _TILE + size]
     # A block's rows fold one segment of their streams at a time, with about
     # _BALL_PASSES ball events a row; a group of its rows draws a segment at
     # once.  The padded events of both bounds fill about _CHUNK_CELLS.
-    seg = min(_DRAW_CELLS, math.ceil(_BALL_PASSES * V / nb))
+    seg = min(_DRAW_CELLS, math.ceil(_BALL_PASSES * int(kern.sizes[tiles].sum()) / nb))
     group = max(1, _DRAW_CELLS // seg)
     bs = max(group, min(len(rows), _CHUNK_CELLS // (4 * _BALL_PASSES)))
-    draw = _Draws(_DRAW_CELLS, V)
     bufs = kern.buffers(2 * min(bs, len(rows)))
     state_buf = np.empty((min(bs, len(rows)), 2, stride), dtype=kern.dtype)
     open_rows = []
     for lo in range(0, len(rows), bs):
         ids = rows[lo : lo + bs]
         k = len(ids)
-        count_keys, base = kern.keys(ids)
-        base += _GAMMA
+        if len(tiles) == 1:
+            count_keys, base = kern.keys(ids, t)
+            base += _GAMMA
+        else:
+            merge = _Merge(kern.seed, ids, tiles, V)
         state = state_buf[:k]  # rows 2i and 2i + 1 bracket replica i
         state[:] = init
         flat = state.reshape(-1)
         off = np.arange(2 * k) * stride
         agree = np.ones(k, dtype=bool)
-        for j, table in enumerate(kern.tables):
-            if table is not None:
-                n_ev = _event_counts(count_keys, j, table)
-                for s in range(0, int(n_ev.max()), seg):
-                    c = int(min(seg, n_ev.max() - s))
-                    parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group],
-                                   in_ball, loc, g) for g in range(0, k, group)]
-                    i, u, q = (np.concatenate(a) for a in zip(*parts))
+        for j, tables in enumerate(kern.tables):
+            if tables is not None:
+                if len(tiles) == 1:
+                    n_ev = _event_counts(count_keys, j, tables[size])
+                    segments = _tile_hits(draw, base, n_ev, *tile_ball, seg, group)
+                else:
+                    merge.interval(j, tables)
+                    segments = _merged_hits(merge, in_ball, loc)
+                for i, u, q in segments:
                     if len(i) == 0:
                         continue
                     # pass e applies each row's e-th ball event; shorter rows
@@ -408,7 +440,8 @@ def _cone(kern, ball, rows, out):
                     pu[e, i] = u[:, None]
                     pq[e, i] = q[:, None]
                     kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
-                base += _steps(n_ev)
+                if len(tiles) == 1:
+                    base += _steps(n_ev)
             low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
             out[j, ids] = low
             agree &= low == high

@@ -1,4 +1,10 @@
 import importlib.util
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,50 @@ def test_summarize_pairs_medians_wins_and_failures():
     assert out["ops"]["parent"]["lockstep"] == {"attempted": 80, "failed": 1}
     assert out["ops"]["change"]["numerics"] == {"attempted": 20, "failed": 0}
     assert out["src_tocp_loc"] == {"parent": [2873], "change": [2850]}
+
+
+STUB_RUN = """import os, time
+with open(os.environ["STUB_PID"], "w") as fh:
+    fh.write(f"{os.getpid()}\\n{os.getcwd()}\\n")
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_sigterm_stops_the_child_and_removes_the_export(tmp_path):
+    # a repository whose perfbench/run.py only sleeps: SIGTERM the collector
+    # while the stub runs in the parent export, then neither may be left
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "perfbench").mkdir(parents=True)
+    tmp.mkdir()
+    shutil.copy(_PATH, repo / "bench_collect.py")
+    (repo / "BENCHMARK.json").write_text('{"workloads": [{"name": "w"}], "run_seconds": 1, '
+                                         '"end_to_end": []}')
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + cmd, cwd=repo, check=True, capture_output=True)
+    pid_file = tmp_path / "stub.pid"
+    env = {**os.environ, "STUB_PID": str(pid_file), "TMPDIR": str(tmp)}
+    collector = subprocess.Popen([sys.executable, "bench_collect.py", "--parent", "HEAD",
+                                  "--pr", "0", "--seeds", "1"], cwd=repo, env=env,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and len(pid_file.read_text().splitlines()) == 2):
+            assert collector.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pid, export = pid_file.read_text().splitlines()
+        assert Path(export).parent == tmp and Path(export).name.startswith("bench-parent-")
+        collector.send_signal(signal.SIGTERM)
+        assert collector.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        if collector.poll() is None:
+            collector.kill()
+    try:
+        os.kill(int(pid), signal.SIGKILL)  # a stub still running fails the test
+        stub_left = True
+    except ProcessLookupError:
+        stub_left = False
+    assert not stub_left
+    assert not Path(export).exists() and list(tmp.iterdir()) == []

@@ -153,6 +153,17 @@ def test_stream_keys_are_distinct():
     assert len(np.unique(keys)) == len(keys)
 
 
+def test_tile_stream_keys_are_distinct():
+    # tiles 1-3 of 1000 replicas read count and mark streams of their own;
+    # tile 0 reads the replica's own
+    ids = np.arange(1000)
+    tiles = [clocks._tile_keys(3, ids, [0, 1, 2, 3], kind) for kind in (0, 1)]
+    assert all(np.array_equal(t[:, 0], clocks._stream_keys(3, ids, kind))
+               for kind, t in enumerate(tiles))
+    keys = np.concatenate([t.ravel() for t in tiles] + [clocks._stream_keys(3, ids, 2)])
+    assert len(np.unique(keys)) == len(keys)
+
+
 def test_schedule_times_share_no_draw_with_the_set_engines():
     # the set engines read the time streams of replicas 0, 1, ...; a
     # schedule's times read a stream none of them reads

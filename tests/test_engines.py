@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from spin_oracle import spin_exact, spin_law
-from tocp import engines
-from tocp.clocks import _GAMMA, HEAL, INFECT, ClockSchedule, _stream_keys, build_schedule
+from tocp import clocks, engines
+from tocp.clocks import HEAL, INFECT, ClockSchedule, _Merge, _stream_keys, _tiles, build_schedule
 from tocp.experiments import branching_exact, branching_survival
 from tocp.graphs import LazyTree, build_torus, build_tree
 from tocp.processes import all_ones_counts, all_ones_spin, all_ones_zeta, run
@@ -530,6 +531,16 @@ def test_threshold_rules(monkeypatch):
             assert [int(m < c) for m in row[:4]] == spins
 
 
+def _replica_events(graph, seed, i, tables):
+    """Vertices and fractions of replica ``i``'s events in one interval."""
+    merge = _Merge(seed, [i], np.arange(len(_tiles(graph.n_vertices))), graph.n_vertices)
+    merge.interval(0, tables)
+    rounds = [(np.empty(0, dtype=np.int64), np.empty(0))]
+    while (ev := merge.next()) is not None:
+        rounds.append([a[0] for a in ev])  # one row: no padding
+    return tuple(np.concatenate(a) for a in zip(*rounds))
+
+
 @pytest.mark.parametrize("graph,lam_max,t,cone", [
     (build_torus(1, 12), 1.5, 3.0, False),
     (build_tree(3, 8), 0.8, 1.5, True),
@@ -544,14 +555,10 @@ def test_threshold_levels_equal_thinned_spin_replays(graph, lam_max, t, cone):
     assert (engines._radius(graph, 0, lam_max, t, graph.n_vertices) is not None) == cone
     levels = engines.threshold_replicas(graph, lam_max, [t], 0, n, seed)[0]
     kern = engines._Kernel(graph, lam_max, np.array([t]), 0, seed, np.minimum, None)
-    count_keys, base = kern.keys(np.arange(n))
-    n_ev = engines._event_counts(count_keys, 0, kern.tables[0])
-    draw = engines._Draws(int(n_ev.max()), graph.n_vertices)
     want = np.zeros((len(grid), n), dtype=bool)
     for i in range(n):
-        # event k of a row is its mark stream's value k + 1
-        z, u = draw.marks(base[i : i + 1] + _GAMMA, 0, int(n_ev[i]))
-        q, u = draw.fractions(z)[0], u[0]
+        # replica i's events in order: its tiles' streams, merged by time
+        u, q = _replica_events(graph, seed, i, kern.tables[0])
         heal = q >= kern.p_inf
         for r, lam in enumerate(grid):
             keep = heal | (q < lam / (1.0 + lam_max))  # drop infect marks at or above the cut
@@ -684,7 +691,8 @@ def test_counts_do_not_depend_on_blocks_or_replica_count(monkeypatch):
 
 @pytest.mark.parametrize("graph,cone", [
     (build_torus(1, 8), False), (build_torus(2, 6), False), (build_tree(3, 8), True),
-], ids=["ring", "torus", "tree"])
+    (build_tree(3, 6), True),
+], ids=["ring", "torus", "tree", "tree(3,6)"])
 def test_schedule_is_replica_zero(graph, cone):
     # a clock schedule holds replica 0's events: replayed to its horizon it
     # gives replica 0 of the spin, counting and (on regular graphs) real
@@ -758,7 +766,7 @@ def test_light_cone_folds_a_small_share_of_the_events(monkeypatch):
 
 
 def test_open_light_cone_rows_widen_before_the_full_graph(monkeypatch):
-    # at seed 22 the radius-4 ball leaves one of 300 rows open; the radius-6
+    # at seed 26 the radius-4 ball leaves one of 300 rows open; the radius-6
     # ball settles it, so the full graph runs no row, and the output is the
     # full graph's
     g, lam, t, n = build_tree(3, 8), 0.4, 3.0, 300
@@ -775,10 +783,10 @@ def test_open_light_cone_rows_widen_before_the_full_graph(monkeypatch):
 
     monkeypatch.setattr(engines, "_cone", cone)
     monkeypatch.setattr(engines, "_full", full)
-    out = engines.spin_replicas(g, lam, [t], 0, n, seed=22)
+    out = engines.spin_replicas(g, lam, [t], 0, n, seed=26)
     assert coned == [(121, n), (1093, 1)] and rerun == [0]
     monkeypatch.setattr(engines, "_radius", lambda *args: None)
-    assert np.array_equal(engines.spin_replicas(g, lam, [t], 0, n, seed=22), out)
+    assert np.array_equal(engines.spin_replicas(g, lam, [t], 0, n, seed=26), out)
     assert rerun[1:] == [n]
 
 
@@ -865,3 +873,137 @@ def test_lockstep_engines_reject_replica_count_below_one(engine, n):
     }
     with pytest.raises(ValueError, match=f"n_replicas={n}"):
         calls[engine]()
+
+
+# ---------------------------------------------------------------------------
+# vertex tiles
+
+
+def _digest(*arrays):
+    h = hashlib.blake2b(digest_size=8)
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_single_tile_outputs_are_pinned():
+    # A graph of at most _TILE vertices is one tile, whose streams are the
+    # replica's own: these outputs were recorded before the streams were
+    # split into tiles, and hold bit for bit.
+    t216, t232, tree = build_torus(2, 16), build_torus(2, 32), build_tree(3, 4)
+    counts = engines.counts_replicas(t216, 0.3, [0.5, 1.0], 0, 2000, seed=23)
+    assert counts.sum(axis=1).tolist() == [2325, 2385]
+    assert counts[:, :8].tolist() == [[1, 1, 0, 0, 1, 0, 1, 1], [1, 0, 0, 0, 0, 0, 0, 1]]
+    assert _digest(counts) == "2d8fcebcb32181cf"
+    assert engines._radius(t232, 0, 0.3, 10.0, t232.n_vertices) == 7  # through the cone
+    spin = engines.spin_replicas(t232, 0.3, [10.0], 0, 400, seed=23)
+    assert np.flatnonzero(spin[0]).tolist() == [73, 76, 132, 172, 184, 200, 211, 251, 273,
+                                                282, 297, 330]
+    assert _digest(spin) == "0d4812af5205a943"
+    levels = engines.threshold_replicas(tree, 0.8, [1.0, 2.5], 0, 2000, seed=23)
+    assert np.isfinite(levels).sum(axis=1).tolist() == [323, 654]
+    assert _digest(levels) == "2a31162a69ba10f1"
+    s = build_schedule(t232, 0.6, 2.0, seed=23)
+    assert s.n_events == 3279 and _digest(s.times, s.vertices, s.kinds) == "8d93403871f62d28"
+
+
+def _tiles_met(graph, r):
+    return np.unique(engines._ball(graph, 0, r) // clocks._TILE).tolist()
+
+
+@pytest.mark.parametrize("engine", ["spin", "counts", "threshold", "reals"])
+def test_light_cone_equals_the_merged_full_graph(monkeypatch, engine):
+    # The cone reads only the tiles its ball meets, the full graph all of
+    # them merged by time: radius 4 on tree(3, 8) is tile 0 alone, radius 6
+    # tiles 0 and 1; the reals fold runs on torus(2, 40), whose balls around
+    # 0 meet its two tiles.  Every output equals the full graph's, bit for
+    # bit, and most rows settle on the cone.
+    graph, radii = (build_torus(2, 40), (2, 3)) if engine == "reals" else (build_tree(3, 8), (4, 6))
+    n, obs = 40, [1.0, 2.5]
+    assert [_tiles_met(graph, r) for r in radii] == ([[0, 1], [0, 1]] if engine == "reals"
+                                                     else [[0], [0, 1]])
+    run_engine = {
+        "spin": lambda: engines.spin_replicas(graph, 0.4, obs, 0, n, 3,
+                                              initial=np.arange(graph.n_vertices) % 5 != 2),
+        "counts": lambda: engines.counts_replicas(graph, 0.4, obs, 0, n, 3),
+        "threshold": lambda: engines.threshold_replicas(graph, 0.4, obs, 0, n, 3),
+        "reals": lambda: engines.reals_replicas(graph, 0.3, 2, obs, 0, n, 3),
+    }[engine]
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    want = run_engine()
+    assert want[-1].any()
+    rerun, kernel_full = [], engines._full
+    monkeypatch.setattr(engines, "_full", lambda kern, rows, out: (rerun.append(len(rows)),
+                                                                  kernel_full(kern, rows, out)))
+    for r in radii:
+        monkeypatch.setattr(engines, "_radius", lambda *args: r)
+        rerun.clear()
+        assert np.array_equal(run_engine(), want), r
+        assert rerun[-1] < n // 2
+
+
+def test_schedule_is_replica_zero_on_the_merged_full_graph(monkeypatch):
+    # tree(3, 6) has two tiles: the schedule and the full graph merge them alike
+    g, lam, t = build_tree(3, 6), 0.7, 2.0
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    got, want = [], []
+    for seed in range(6):
+        s = build_schedule(g, lam, t, seed)
+        assert np.all(np.diff(s.times) > 0) and np.bincount(s.vertices // clocks._TILE).size == 2
+        got += [run("eta", s, g, all_ones_spin(g), [t])[0][0],
+                run("xi", s, g, all_ones_counts(g), [t])[0][0]]
+        want += [engines.spin_replicas(g, lam, [t], 0, 2, seed)[0, 0],
+                 engines.counts_replicas(g, lam, [t], 0, 2, seed)[0, 0]]
+    assert got == want and 0 < sum(got[::2]) < 6
+
+
+def test_multi_tile_replicas_do_not_depend_on_replica_count(monkeypatch):
+    # the merge draws rounds sized by the rows it holds; replica i is the
+    # same in a run of 60 and of 3000, on the full graph and on the cone
+    g = build_tree(3, 6)
+    few = _lockstep_run("threshold", g, 0, 60)
+    assert np.array_equal(_lockstep_run("threshold", g, 0, 3000)[:, :60], few)
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    few = _lockstep_run("spin", g, 0, 60)
+    assert few[-1].any() and np.array_equal(_lockstep_run("spin", g, 0, 3000)[:, :60], few)
+
+
+def test_tile_merge_pooled_over_seeds_matches_exact(monkeypatch):
+    # Tiles of 4 ids split torus(1, 10) into tiles of 4, 4 and 2 vertices,
+    # so every run merges three tiles of two sizes by time, over two
+    # observation intervals.  200 seeds x 4000 replicas of one threshold run,
+    # read at three rates; its top rate is the spin engine, bit for bit.
+    for module in (clocks, engines):
+        monkeypatch.setattr(module, "_TILE", 4)
+    g, obs = build_torus(1, 10), [0.5, 1.5]
+    assert _tiles(g.n_vertices).tolist() == [4, 4, 2]
+    levels = np.array([engines.threshold_replicas(g, 0.7, obs, 0, 4_000, seed)
+                       for seed in range(200)])
+    spin = engines.spin_replicas(g, 0.7, obs, 0, 4_000, seed=0)
+    assert np.array_equal(spin, levels[0] < 0.7 / 1.7)
+    for i, t in enumerate(obs):
+        for lam in (0.3, 0.5, 0.7):
+            hits = np.count_nonzero(levels[:, i] < lam / 1.7, axis=1)
+            assert_pooled(hits, 4_000, spin_exact(g, lam, t, 0))
+
+
+def test_full_graph_retires_absorbed_rows(monkeypatch):
+    # Every row dies by about t = 15; read at t = 200, the full graph must
+    # not run on much longer than read at t = 20.  The passes (one event for
+    # each live row) are what a run pays for once few rows are left.
+    g = build_tree(3, 8)
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    kernel_passes = engines._passes
+    totals = {}
+    for t in (20.0, 200.0):
+        counted = totals[t] = [0, 0]
+
+        def passes(flat, cn, off, u, *args, counted=counted):
+            counted[0] += len(u)
+            counted[1] += u.size
+            return kernel_passes(flat, cn, off, u, *args)
+
+        monkeypatch.setattr(engines, "_passes", passes)
+        assert not engines.spin_replicas(g, 0.005, [t], 0, 40, seed=1).any()
+    assert totals[200.0][0] <= 1.5 * totals[20.0][0]
+    assert totals[200.0][1] <= 1.5 * totals[20.0][1]
