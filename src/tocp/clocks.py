@@ -22,13 +22,14 @@ per observation interval a Poisson count for the tile's clocks and, in
 stream order, their events.  By superposition and marking (Kingman,
 *Poisson Processes*, 1993, ch. 2, 5) the tiles together have the law of
 all the clocks, once each tile's events in an interval sit at sorted
-uniform times, assigned in stream order.  Those times are drawn only
-where tiles merge (:class:`_Merge`): a reader of one tile, such as a
-light cone inside it, takes its events in stream order and draws no
-time.  A merge runs in rounds of a bounded number of draws, so its
-buffers do not grow with the event count.  A graph of at most ``_TILE``
-vertices is one tile, which reads the replica's own streams as before
-there were tiles.
+uniform times, assigned in stream order.  One reader, :class:`_Merge`,
+decodes the count and mark streams for the engines and for schedules,
+whatever the number of tiles.  It draws times only where tiles merge: a
+reader of one tile, such as a light cone inside it, takes its events in
+stream order and draws no time.  It runs in rounds of a bounded number
+of draws, so its buffers do not grow with the event count.  A graph of
+at most ``_TILE`` vertices is one tile, which reads the replica's own
+streams as before there were tiles.
 
 Replica 0 over ``[0, horizon]`` is the schedule.  A one-tile schedule's
 sorted times read the time stream of id ``2**64 - 1``, which no engine
@@ -67,8 +68,6 @@ _COUNTS, _MARKS, _TIMES = 0, 1, 2
 # Largest Poisson mean drawn from one inverse-CDF table; larger means are
 # sums of equal pieces, one uniform each.
 _POISSON_PIECE = 1 << 20
-# events a schedule decodes at once: bounds the temporaries of a long schedule
-_EVENT_CHUNK = 1 << 18
 # Vertex ids come in tiles of _TILE consecutive ids, each with streams of its
 # own (see _tile_keys); every torus the suite and the benchmark run is one tile.
 _TILE = 1024
@@ -180,70 +179,36 @@ def _tile_keys(seed: int, ids, tiles, kind: int) -> np.ndarray:
     return _stream_keys(seed, np.asarray(ids).astype(np.uint64)[:, None] | tiles, kind)
 
 
-class _Draws:
-    """Buffers for the marks of up to ``cells`` events of tile ``tile`` of a
-    ``V``-vertex graph.
-
-    Event ``k`` (from 0) of a row's tile is its mark stream's value
-    ``k + 1``, ``z``.  With ``S`` the tile's size and ``S < 2**b`` (``b``
-    is set by ``min(V, _TILE)``, so a graph of one tile reads its marks as
-    before there were tiles), its mark is ``r = (z >> b) * S / 2**(64 - b)``
-    in ``[0, S)``: it rings the tile's vertex ``u = floor(r)``, and its
-    fraction ``q = r - u`` (:meth:`fractions`) is uniform on ``[0, 1)``
-    given ``u``.  The product ``(z >> b) * S`` is exact in uint64.
-    """
-
-    def __init__(self, cells, V, tile=0):
-        self.V, self.b = min(_TILE, V - tile * _TILE), min(V, _TILE).bit_length()
-        self.z = np.empty(cells, dtype=np.uint64)
-        self.u = np.empty(cells, dtype=np.int64)
-
-    def marks(self, base, s, c, by_pass=False):
-        """``(z, u)``: products and tile vertices of events ``s .. s + c - 1``
-        of the rows whose event 0 is stream value ``base``, of shape
-        ``(len(base), c)``, or ``(c, len(base))`` if ``by_pass``."""
-        k = len(base)
-        shape = (c, k) if by_pass else (k, c)
-        z = self.z[: k * c].reshape(shape)
-        steps = np.arange(c, dtype=np.uint64)
-        steps *= _GAMMA
-        if by_pass:
-            np.add(base + _steps(s), steps[:, None], out=z)
-        else:
-            np.add((base + _steps(s))[:, None], steps, out=z)
-        u = self.u[: k * c].reshape(shape)
-        _mix(z, u.view(np.uint64))
-        np.right_shift(z, np.uint64(self.b), out=z)
-        z *= np.uint64(self.V)
-        np.right_shift(z, np.uint64(64 - self.b), out=u.view(np.uint64))
-        return z, u
-
-    def fractions(self, z):
-        """The fractions ``q`` of the products ``z``, written over ``z``."""
-        z &= np.uint64((1 << (64 - self.b)) - 1)
-        return np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
-
-
 class _Merge:
     """The events of tiles ``tiles`` of the replicas ``ids`` of a ``V``-vertex
-    graph, merged by time, one observation interval at a time, in rounds.
+    graph, merged by time, one observation interval at a time, in rounds:
+    the one reader of the count and mark streams.
 
     In interval ``j`` tile ``t`` of a row has ``n`` events (its count
-    stream), in its mark stream's order.  Event ``m`` of them (from 0, at
-    stream position ``p``) has the time key ``X_m = X_{m-1} + E_m / (n - m)``,
-    ``X_{-1} = 0``, where ``E_m = -log1p(-u)`` reads value ``2**63 + p + 1`` of
-    the mark stream, which no mark reads.  The ``X_m`` are ``n`` sorted
-    exponentials (Renyi, *Acta Math. Acad. Sci. Hung.* 4, 1953), so
-    ``1 - exp(-X_m)`` are ``n`` sorted uniforms: the events' times, as
-    fractions of the interval, in stream order.  The tiles' events merge by
-    ``(X, tile, m)``.  The sums run left to right, so a key does not depend
-    on how the draws are split.  One tile needs no keys: its events come in
-    stream order.
+    stream), in its mark stream's order: event ``k`` of the tile, from 0
+    over all intervals, is the mark stream's value ``k + 1``, ``z``.  With
+    ``S`` the tile's size and ``S < 2**b`` (``b`` is set by ``min(V,
+    _TILE)``, so a graph of one tile reads its marks as before there were
+    tiles), its mark is ``r = (z >> b) * S / 2**(64 - b)`` in ``[0, S)``: it
+    rings the tile's vertex ``floor(r)``, and its fraction ``r - floor(r)``
+    is uniform on ``[0, 1)`` given the vertex.  The product ``(z >> b) * S``
+    is exact in uint64.
+
+    Event ``m`` of the interval (from 0, at stream position ``p``) has the
+    time key ``X_m = X_{m-1} + E_m / (n - m)``, ``X_{-1} = 0``, where ``E_m
+    = -log1p(-u)`` reads value ``2**63 + p + 1`` of the mark stream, which
+    no mark reads.  The ``X_m`` are ``n`` sorted exponentials (Renyi, *Acta
+    Math. Acad. Sci. Hung.* 4, 1953), so ``1 - exp(-X_m)`` are ``n`` sorted
+    uniforms: the events' times, as fractions of the interval, in stream
+    order.  The tiles' events merge by ``(X, tile, m)``.  The sums run left
+    to right, so a key does not depend on how the draws are split.  One
+    tile needs no keys: its events come in stream order.
 
     A round draws the next keys of every tile of every row, at most
     ``_MERGE_CELLS`` in all, and a row emits its events up to its earliest
     last-drawn key of a tile with events left: no undrawn event comes
     before them.  Keys drawn past that point are drawn again next round.
+    A round of one tile writes into two buffers, made again only to grow.
     """
 
     def __init__(self, seed, ids, tiles, V):
@@ -254,6 +219,7 @@ class _Merge:
         self.marks = _tile_keys(seed, ids, tiles, _MARKS) + _GAMMA  # each tile's next value
         self.left = np.zeros(self.counts.shape, dtype=np.int64)  # events left in the interval
         self.key = np.zeros(self.counts.shape)  # the last emitted time key
+        self.bufs = [np.empty(0, dtype=np.uint64)] * 2  # a one-tile round's marks and vertices
 
     def interval(self, j, tables):
         """Start interval ``j``, with ``tables[size]`` the Poisson table of a
@@ -271,12 +237,15 @@ class _Merge:
             a[rows] for a in (self.counts, self.marks, self.left, self.key))
 
     def next(self, most=None, by_pass=False, times=False):
-        """``(u, q)``: the vertices and fractions of each row's next events,
-        about ``most`` a row at most, of shape ``(rows, c)``, or ``(c, rows)``
-        if ``by_pass``.  Rows with fewer events pad with heals (``q = 1``) at
-        the phantom vertex ``V``.  With ``times`` (several tiles, row-major),
-        also each event's time as a fraction of the interval (padding 1).
-        ``None`` once no row has events left."""
+        """``(n, u, w)``: each row's next ``n`` events, about ``most`` at
+        most, in order: their vertices ``u`` and mark products ``w`` (the
+        ``(z >> b) * S`` above), of shape ``(rows, c)``, or ``(c, rows)`` if
+        ``by_pass``.  :meth:`fractions` reads the fractions from ``w``.  The
+        slots of a row past its ``n`` hold none of its events.  With
+        ``times`` (several tiles, row-major), also each event's time as a
+        fraction of the interval.  ``None`` once no row has events left.
+        The arrays are good until the next call, which may write over
+        them."""
         k, T = self.left.shape
         look = max(1, min(_MERGE_CELLS // max(1, k * T), -(-(most or _MERGE_CELLS) // T)))
         drawn = np.minimum(self.left, look)
@@ -286,8 +255,14 @@ class _Merge:
         steps = _steps(np.arange(c))
         if T == 1:
             emit = drawn[:, 0]
-            z = self.marks[:, 0] + steps[:, None] if by_pass else self.marks + steps
-            u, q = self._decode(_mix(z), self.size[0], self.start[0])
+            if len(self.bufs[0]) < k * c:
+                self.bufs = [np.empty(k * c, dtype=np.uint64) for _ in range(2)]
+            z, u = (a[: k * c].reshape((c, k) if by_pass else (k, c)) for a in self.bufs)
+            if by_pass:
+                np.add(self.marks.T, steps[:, None], out=z)
+            else:
+                np.add(self.marks, steps, out=z)
+            u, w = self._decode(_mix(z, u), self.size[0], self.start[0], u)
         else:
             z = _mix(self.marks[:, :, None] + (np.uint64(1 << 63) + steps))
             x = np.multiply(np.right_shift(z, np.uint64(11), out=z), -(2.0**-53))
@@ -314,25 +289,27 @@ class _Merge:
                 order = order.T
             x = -np.expm1(-x.reshape(-1).take(order)) if times else None
             z = _mix(np.add(self.marks[:, :, None], steps, out=z))  # every drawn slot's mark
-            u, q = (a.reshape(-1).take(order)
+            u, w = (a.reshape(-1).take(order)
                     for a in self._decode(z, self.size[:, None], self.start[:, None]))
-        c = u.shape[0] if by_pass else u.shape[1]
-        if emit.min() < c:
-            pad = np.arange(c)[:, None] >= emit if by_pass else np.arange(c) >= emit[:, None]
-            u[pad], q[pad] = self.V, 1.0
         self.marks += _steps(drawn)
         self.left -= drawn
-        return (u, q, x) if times else (u, q)
+        return (emit, u, w, x) if times else (emit, u, w)
 
-    def _decode(self, z, size, start):
-        """Vertices and fractions of the marks ``z`` of tiles of ``size``
-        vertices from id ``start`` (see :class:`_Draws`), over ``z``."""
+    def _decode(self, z, size, start, u=None):
+        """Vertices and products of the marks ``z`` of tiles of ``size``
+        vertices from id ``start``: the products over ``z``, the vertices
+        into ``u`` (uint64) if given."""
         np.right_shift(z, np.uint64(self.b), out=z)
         z *= size
-        u = (z >> np.uint64(64 - self.b)).view(np.int64)
-        u += start
-        z &= np.uint64((1 << (64 - self.b)) - 1)
-        return u, np.multiply(z, 2.0 ** (self.b - 64), out=z.view(np.float64))
+        u = np.right_shift(z, np.uint64(64 - self.b), out=u).view(np.int64)
+        if np.any(start):
+            u += start
+        return u, z
+
+    def fractions(self, w):
+        """The fractions of the mark products ``w``, written over ``w``."""
+        w &= np.uint64((1 << (64 - self.b)) - 1)
+        return np.multiply(w, 2.0 ** (self.b - 64), out=w.view(np.float64))
 
 
 def _set_draws(keys, k, c):
@@ -349,8 +326,9 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
     Event ``k`` infects iff its mark's fraction is below ``lam / (1 + lam)``.
     Replayed to ``horizon``, the schedule gives replica 0 of ``spin_replicas``
     and ``counts_replicas`` at ``obs_times=[horizon]`` and ``seed``, bit for bit.
-    On a graph of several tiles the events are merged by time as the
-    engines merge them, and their times are the merge times.
+    The events are read as the engines read them (:class:`_Merge`); on a
+    graph of several tiles they are merged by time, and their times are
+    the merge times.
 
     Parameters
     ----------
@@ -368,42 +346,30 @@ def build_schedule(graph, lam: float, horizon: float, seed: int) -> ClockSchedul
         raise ValueError(f"need finite lam >= 0, got lam={lam}")
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"need finite horizon >= 0, got horizon={horizon}")
-    V = graph.n_vertices
-    if V > _TILE:
-        return _merged_schedule(V, lam, horizon, seed)
-    counts, marks = (_stream_keys(seed, [0], kind) for kind in (_COUNTS, _MARKS))
-    clock = _stream_keys(seed, [2**64 - 1], _TIMES)  # a time stream no engine replica reads
-    mu = V * (1.0 + lam) * horizon
-    n = int(_event_counts(counts, 0, _poisson_table(mu))[0]) if mu > 0 else 0
-    times, verts, kinds = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)
-    draw = _Draws(min(n, _EVENT_CHUNK), V)
-    # event k is value k + 1 of the mark and time streams
-    for s in range(0, n, _EVENT_CHUNK):
-        c = min(_EVENT_CHUNK, n - s)
-        z, u = draw.marks(marks + _GAMMA, s, c)
-        verts[s : s + c] = u[0]
-        np.less(draw.fractions(z)[0], lam / (1.0 + lam), out=kinds[s : s + c].view(bool))
-        # 52 random bits centred in their cell: u in (0, 1), so 0 < t <= horizon
-        z = _mix(clock + _steps(np.arange(s + 1, s + c + 1))) >> np.uint64(12)
-        times[s : s + c] = (z + 0.5) * (2.0**-52 * horizon)
-    times.sort()
-    return ClockSchedule(V, lam, horizon, seed, times, verts, kinds)
-
-
-def _merged_schedule(V, lam, horizon, seed):
-    """Replica 0's events on a graph of several tiles, merged by time, at
-    their merge times (:class:`_Merge`)."""
-    tiles = _tiles(V)
-    merge = _Merge(seed, [0], np.arange(len(tiles)), V)
+    tiles = _tiles(graph.n_vertices)
+    merge = _Merge(seed, [0], np.arange(len(tiles)), graph.n_vertices)
     if horizon > 0:
         merge.interval(0, {int(n): _poisson_table(n * (1.0 + lam) * horizon)
                            for n in np.unique(tiles)})
-    rounds = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
-    while (ev := merge.next(times=True)) is not None:
-        rounds.append([a[0] for a in ev])  # one row, so no padding
-    verts, fracs, times = (np.concatenate(a) for a in zip(*rounds))
-    return ClockSchedule(V, lam, horizon, seed, times * horizon, verts,
-                         (fracs < lam / (1.0 + lam)).astype(np.int8))
+    n = int(merge.left.sum())
+    times, verts, kinds = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int8)
+    clock = _stream_keys(seed, [2**64 - 1], _TIMES)  # a time stream no engine replica reads
+    s = 0
+    while (ev := merge.next(times=len(tiles) > 1)) is not None:
+        _, u, w, *x = (a[0] for a in ev)  # one row: all its events
+        c = len(u)
+        verts[s : s + c] = u
+        np.less(merge.fractions(w), lam / (1.0 + lam), out=kinds[s : s + c].view(bool))
+        if x:
+            np.multiply(x[0], horizon, out=times[s : s + c])
+        else:  # event k is value k + 1 of the time stream
+            # 52 random bits centred in their cell: u in (0, 1), so 0 < t <= horizon
+            z = _mix(clock + _steps(np.arange(s + 1, s + c + 1))) >> np.uint64(12)
+            times[s : s + c] = (z + 0.5) * (2.0**-52 * horizon)
+        s += c
+    if len(tiles) == 1:
+        times.sort()
+    return ClockSchedule(graph.n_vertices, lam, horizon, seed, times, verts, kinds)
 
 
 def merged_events(schedule: ClockSchedule):

@@ -6,9 +6,10 @@ touches one event at a time, which is too slow for estimators that need
 :mod:`tocp.clocks` instead: per replica and tile of ``_TILE`` vertex ids,
 Poisson events at rate ``(tile size) * (1 + lam)``, each at a uniform
 vertex of the tile, an infect event with probability ``lam / (1 + lam)``.
-A run reads the tiles it needs: the full graph all of them, merged by
-time (:class:`tocp.clocks._Merge`), and a light cone the tiles its ball
-meets, in stream order if that is one tile.
+A run reads the tiles it needs through :class:`tocp.clocks._Merge`, the
+one reader of those streams: the full graph all of them, merged by time,
+and a light cone the tiles its ball meets, in stream order if that is
+one tile.
 
 One private lock-step kernel advances the replicas of all four
 lock-step engines, one event per replica per pass, with the per-event
@@ -100,8 +101,8 @@ import math
 
 import numpy as np
 
-from .clocks import (_COUNTS, _GAMMA, _MARKS, _TILE, _TIMES, _Draws, _event_counts, _Merge,
-                     _poisson_table, _set_draws, _steps, _stream_keys, _tile_keys, _tiles)
+from .clocks import (_TILE, _TIMES, _Merge, _poisson_table, _set_draws, _steps, _stream_keys,
+                     _tiles)
 from .graphs import FiniteGraph, require_materialized
 
 __all__ = ["spin_replicas", "counts_replicas", "reals_replicas", "threshold_replicas",
@@ -130,12 +131,9 @@ _BALL_GAIN = 8
 # run of 300 rows took 0.10-0.50 of the full graph's time on tree(3, 8) and
 # torus(2, 64).
 _CONE_HORIZON = 4.0
-# Ball events a row folds per segment of its stream, on average: the passes
-# over a segment's ragged per-row lists are padded to the longest one.
+# Ball events a row folds at once, on average: the passes over the rows'
+# ragged lists of ball events are padded to the longest one.
 _BALL_PASSES = 64
-# Stream values a group of light-cone rows draws and filters at once (1 MiB
-# of uint64).
-_DRAW_CELLS = 128 * 1024
 # Full-graph passes between scans for absorbed rows: V + 1 on larger graphs.
 # On small ones this floor keeps merge rounds long enough to pay for their set-up.
 _SCAN_PASSES = 64
@@ -162,37 +160,30 @@ def _check_obs(obs_times) -> np.ndarray:
 # per-replica streams
 
 
-def _tile_hits(draw, base, n_ev, keep, local, seg, group):
-    """Yield ``(rows, local[vertices], fractions)`` per segment of ``seg``
-    events of one tile's streams (see :func:`_hits`), ``group`` rows drawn
-    at once."""
-    for s in range(0, int(n_ev.max()), seg):
-        c = int(min(seg, n_ev.max() - s))
-        parts = [_hits(draw, base[g : g + group], s, c, n_ev[g : g + group], keep, local, g)
-                 for g in range(0, len(base), group)]
+def _ball_hits(merge, most, keep, local):
+    """Yield ``(e, i, local[vertices], fractions)`` for the events of the
+    rows of ``merge`` that ring a vertex ``v`` with ``keep[v]``, read in
+    rounds of at most ``most`` events a row and gathered until they come to
+    about ``_BALL_PASSES`` a row: each is event ``e`` of row ``i`` since the
+    last yield, in stream order."""
+    k = len(merge.left)
+    since = np.zeros(k, dtype=np.int64)  # each row's events since the last yield
+    parts = []
+    while (ev := merge.next(most)) is not None:
+        n, u, w = ev
+        c = u.shape[1]
+        f = np.flatnonzero(keep.take(u))  # row-major
+        f = f[f % c < n[f // c]]  # a row's slots past its n hold none of its events
+        i = f // c
+        per_row = np.bincount(i, minlength=k)
+        parts.append((np.arange(len(i)) - (np.cumsum(per_row) - per_row - since)[i], i,
+                      local.take(u.reshape(-1)[f]), merge.fractions(w.reshape(-1)[f])))
+        since += per_row
+        if since.sum() >= _BALL_PASSES * k:
+            yield tuple(np.concatenate(a) for a in zip(*parts))
+            since[:], parts = 0, []
+    if parts:
         yield tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _merged_hits(merge, keep, local):
-    """Yield ``(rows, local[vertices], fractions)`` per round of ``merge``
-    for the events at vertices ``v`` with ``keep[v]``."""
-    while (ev := merge.next()) is not None:
-        u, q = ev
-        f = np.flatnonzero(keep.take(u))
-        yield f // u.shape[1], local.take(u.reshape(-1)[f]), q.reshape(-1)[f]
-
-
-def _hits(draw, base, s, c, n_ev, keep, local, row0):
-    """``(rows, local[vertices], fractions)`` of those events ``s .. s + c - 1``
-    of the rows with event counts ``n_ev`` that ring a vertex ``v`` with
-    ``keep[v]``, drawn into the buffers of ``draw``; rows are numbered from
-    ``row0``, and each row's events come in stream order."""
-    z, u = draw.marks(base, s, c)
-    hit = keep.take(u)
-    if n_ev.min() - s < c:  # some rows end inside this segment
-        hit &= np.arange(c) < (n_ev - s)[:, None]
-    f = np.flatnonzero(hit)  # row-major
-    return f // c + row0, local.take(u.reshape(-1)[f]), draw.fractions(z.reshape(-1)[f])
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +251,6 @@ class _Kernel:
         self.blank, self.full = (np.inf, -np.inf) if fold is np.minimum else (0, 1)
         self.init = np.full(self.V + 1, self.blank, dtype=self.dtype)
         self.init[: self.V] = self.full if initial is None else np.asarray(initial, self.dtype)
-
-    def keys(self, ids, tile):
-        """Count and mark stream keys of tile ``tile`` of replicas ``ids``."""
-        return tuple(_tile_keys(self.seed, ids, [tile], kind)[:, 0] for kind in (_COUNTS, _MARKS))
 
     def buffers(self, rows):
         """Work arrays for ``passes`` over up to ``rows`` rows, made once per
@@ -352,7 +339,11 @@ def _full(kern, rows, out):
             if len(off) and tables is not None:
                 merge.interval(j, tables)
                 while len(off) and (ev := merge.next(every, by_pass=True)) is not None:
-                    u, q = ev
+                    n, u, w = ev
+                    q = merge.fractions(w)
+                    pad = np.arange(len(u))[:, None] >= n  # heals at the phantom
+                    np.copyto(u, V, where=pad)
+                    np.copyto(q, 1.0, where=pad)
                     kern.passes(flat, cn, off, u, q, bufs)
                     since += len(u)
                     if since >= every:
@@ -392,28 +383,17 @@ def _cone(kern, ball, rows, out):
     init[:, :nb] = kern.init[ball]
     init[1, outside] = kern.full
     tiles = np.unique(ball // _TILE)
-    if len(tiles) == 1:  # one tile, read in stream order
-        t = int(tiles[0])
-        size = int(kern.sizes[t])
-        draw = _Draws(_DRAW_CELLS, V, t)
-        tile_ball = in_ball[t * _TILE : t * _TILE + size], loc[t * _TILE : t * _TILE + size]
-    # A block's rows fold one segment of their streams at a time, with about
-    # _BALL_PASSES ball events a row; a group of its rows draws a segment at
-    # once.  The padded events of both bounds fill about _CHUNK_CELLS.
-    seg = min(_DRAW_CELLS, math.ceil(_BALL_PASSES * int(kern.sizes[tiles].sum()) / nb))
-    group = max(1, _DRAW_CELLS // seg)
-    bs = max(group, min(len(rows), _CHUNK_CELLS // (4 * _BALL_PASSES)))
-    bufs = kern.buffers(2 * min(bs, len(rows)))
-    state_buf = np.empty((min(bs, len(rows)), 2, stride), dtype=kern.dtype)
+    # The padded events of both bounds fill about _CHUNK_CELLS, and a merge
+    # round draws a quarter of that (its two buffers take 1 MiB, which stays
+    # in a core's cache): _BALL_PASSES events a row of a full block.
+    bs = max(1, min(len(rows), _CHUNK_CELLS // (4 * _BALL_PASSES)))
+    bufs = kern.buffers(2 * bs)
+    state_buf = np.empty((bs, 2, stride), dtype=kern.dtype)
     open_rows = []
     for lo in range(0, len(rows), bs):
         ids = rows[lo : lo + bs]
         k = len(ids)
-        if len(tiles) == 1:
-            count_keys, base = kern.keys(ids, t)
-            base += _GAMMA
-        else:
-            merge = _Merge(kern.seed, ids, tiles, V)
+        merge, most = _Merge(kern.seed, ids, tiles, V), _CHUNK_CELLS // (4 * k)
         state = state_buf[:k]  # rows 2i and 2i + 1 bracket replica i
         state[:] = init
         flat = state.reshape(-1)
@@ -421,27 +401,18 @@ def _cone(kern, ball, rows, out):
         agree = np.ones(k, dtype=bool)
         for j, tables in enumerate(kern.tables):
             if tables is not None:
-                if len(tiles) == 1:
-                    n_ev = _event_counts(count_keys, j, tables[size])
-                    segments = _tile_hits(draw, base, n_ev, *tile_ball, seg, group)
-                else:
-                    merge.interval(j, tables)
-                    segments = _merged_hits(merge, in_ball, loc)
-                for i, u, q in segments:
+                merge.interval(j, tables)
+                for e, i, u, q in _ball_hits(merge, most, in_ball, loc):
                     if len(i) == 0:
                         continue
                     # pass e applies each row's e-th ball event; shorter rows
                     # pad with heal events at the phantom
-                    per_row = np.bincount(i, minlength=k)
-                    e = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
-                    m = int(per_row.max())
+                    m = int(e.max()) + 1
                     pu = np.full((m, k, 2), phantom, dtype=np.int64)  # both bounds
                     pq = np.ones((m, k, 2))
                     pu[e, i] = u[:, None]
                     pq[e, i] = q[:, None]
                     kern.passes(flat, cn, off, pu.reshape(m, -1), pq.reshape(m, -1), bufs)
-                if len(tiles) == 1:
-                    base += _steps(n_ev)
             low, high = flat[off[0::2]], flat[off[1::2]]  # the ball's first vertex is x
             out[j, ids] = low
             agree &= low == high
@@ -580,7 +551,10 @@ def reals_replicas(
 
     Starts from all ones; between events every coordinate decays or
     grows by ``exp((1 - 2*lam*d_param) * dt)``.  Returns float64 of shape
-    ``(len(obs_times), n_replicas)``.
+    ``(len(obs_times), n_replicas)``.  Nothing raises on overflow: a
+    replica whose drift-free sum overflowed float64 to ``inf`` reads NaN
+    where the drift factor ``exp((1 - 2*lam*d_param) * t)`` underflows to
+    0 (``inf * 0``), and ``inf`` otherwise, with numpy's overflow warnings.
     """
     obs = _check_obs(obs_times)
     if graph.regular_degree != 2 * d_param:

@@ -16,7 +16,7 @@ from tocp.clocks import (
     load_schedule,
     merged_events,
 )
-from tocp.graphs import build_torus
+from tocp.graphs import build_torus, build_tree
 
 
 def test_zero_horizon_is_empty():
@@ -121,6 +121,20 @@ def test_event_counts_are_poisson():
     assert abs(s.n_events - mean) < 4 * np.sqrt(mean)
     n_heal = int((s.kinds == HEAL).sum())
     assert abs(n_heal - g.n_vertices * T) < 4 * np.sqrt(g.n_vertices * T)
+
+
+@pytest.mark.parametrize("graph,lam,horizon", [
+    (build_torus(1, 8), 0.7, 2000.0),  # one tile, about 27k events
+    (build_tree(3, 6), 0.7, 2.0),  # two tiles, merged by time
+], ids=["torus(1,8)", "tree(3,6)"])
+def test_schedule_does_not_depend_on_merge_rounds(monkeypatch, graph, lam, horizon):
+    # small merge rounds split the events many times; the schedule is the same
+    want = build_schedule(graph, lam, horizon, seed=4)
+    monkeypatch.setattr(clocks, "_MERGE_CELLS", 1000)
+    got = build_schedule(graph, lam, horizon, seed=4)
+    assert want.n_events > 2 * 1000
+    for name in ("times", "vertices", "kinds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_dump_load_roundtrip(tmp_path):

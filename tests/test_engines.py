@@ -537,7 +537,8 @@ def _replica_events(graph, seed, i, tables):
     merge.interval(0, tables)
     rounds = [(np.empty(0, dtype=np.int64), np.empty(0))]
     while (ev := merge.next()) is not None:
-        rounds.append([a[0] for a in ev])  # one row: no padding
+        _, u, w = (a[0] for a in ev)  # one row: all its events
+        rounds.append((u.copy(), merge.fractions(w).copy()))  # the next round reuses them
     return tuple(np.concatenate(a) for a in zip(*rounds))
 
 
@@ -648,14 +649,14 @@ def test_lockstep_output_does_not_depend_on_blocks_or_radius(monkeypatch, name, 
         assert want[-1].any() and not want[-1].all()
     settings = [
         {"_radius": lambda *args: 1},  # many rows left open and rerun
-        {"_radius": lambda *args: 2, "_DRAW_CELLS": 500, "_BALL_PASSES": 1},
+        {"_radius": lambda *args: 2, "_MERGE_CELLS": 500, "_BALL_PASSES": 1},
         {"_radius": lambda *args: 3, "_BLOCK_CELLS": 300 * (graph.n_vertices + 1),
          "_SPLIT_ROWS": 1, "_CHUNK_CELLS": 4096},
         {"_radius": lambda *args: None, "_BLOCK_CELLS": 1, "_SPLIT_ROWS": 10**6},
     ]
     for setting in settings:
         for attr, value in setting.items():
-            monkeypatch.setattr(engines, attr, value)
+            monkeypatch.setattr(clocks if attr == "_MERGE_CELLS" else engines, attr, value)
         got = _lockstep_run(engine, graph, x, n)
         assert got.dtype == want.dtype and np.array_equal(got, want), setting
 
@@ -722,7 +723,7 @@ def test_event_counts_are_poisson(mu):
     # 3.5e6 is drawn as the sum of four table pieces
     n = 40_000
     keys = _stream_keys(11, np.arange(n), 0)
-    counts = engines._event_counts(keys, 2, engines._poisson_table(mu))
+    counts = clocks._event_counts(keys, 2, clocks._poisson_table(mu))
     assert counts.dtype == np.int64 and (counts >= 0).all()
     se = math.sqrt(mu / n)
     assert abs(counts.mean() - mu) < 4 * se
@@ -843,22 +844,31 @@ def test_counts_exactness_check_does_not_depend_on_the_path(monkeypatch, t):
             assert (got[0] < 2**53).all()
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("radius", [4, None])
 def test_stream_and_ball_buffers_are_bounded(monkeypatch, radius):
     # 300 replicas of about 21k and 41k events: the events of all rows at
     # once would take 99 MB per uint64 array at t = 3
     g = build_tree(3, 8)
     monkeypatch.setattr(engines, "_radius", lambda *args: radius)
-    peaks = []
-    for t in (1.5, 3.0):
-        tracemalloc.start()
-        try:
-            engines.spin_replicas(g, 0.4, [t], 0, 300, seed=8)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(lambda: engines.spin_replicas(g, 0.4, [t], 0, 300, seed=8))
+             for t in (1.5, 3.0)]
     # a block's state plus buffers of a fixed size, whatever the event count
     assert peaks[1] < 1.05 * peaks[0] and peaks[1] < 32e6
+    if radius is None:
+        # one tile on the full graph: its merge rounds reuse their buffers
+        g = build_torus(2, 32)
+        peaks = [_traced_peak(lambda: engines.threshold_replicas(g, 0.7, [t], 0, 100, seed=8))
+                 for t in (2.0, 6.0)]
+        assert peaks[1] < 1.05 * peaks[0] and peaks[1] < 32e6
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -940,6 +950,18 @@ def test_light_cone_equals_the_merged_full_graph(monkeypatch, engine):
         rerun.clear()
         assert np.array_equal(run_engine(), want), r
         assert rerun[-1] < n // 2
+
+
+def test_light_cone_inside_a_later_tile_equals_the_full_graph(monkeypatch):
+    # the radius-2 ball around vertex 1137 of torus(2, 40) lies in tile 1
+    # alone, whose events the cone reads in stream order, with no times
+    g, x = build_torus(2, 40), 1137
+    assert np.unique(engines._ball(g, x, 2) // clocks._TILE).tolist() == [1]
+    monkeypatch.setattr(engines, "_radius", lambda *args: None)
+    want = engines.threshold_replicas(g, 0.4, [1.0, 2.0], x, 80, 3)
+    monkeypatch.setattr(engines, "_radius", lambda *args: 2)
+    got = engines.threshold_replicas(g, 0.4, [1.0, 2.0], x, 80, 3)
+    assert np.isfinite(want).any() and np.array_equal(got, want)
 
 
 def test_schedule_is_replica_zero_on_the_merged_full_graph(monkeypatch):
