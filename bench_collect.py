@@ -16,8 +16,12 @@ every number comes from the record that ``run.py`` names on its
 the pairs, each side's median and quartiles and the change's win count
 (pairs where it is better, in the metric's direction from
 ``BENCHMARK.json``).  It also holds every failed op with its workload,
-seed and side, each side's ``src_tocp_loc``, and per-test durations of
-``tests/test_acceptance.py`` from one ``--junitxml`` run per side.
+seed and side, and each side's ``src_tocp_loc``.  Last,
+``tests/test_acceptance.py`` runs twice per side under ``--junitxml``,
+alternated (parent, change, change, parent), since single runs spread
+more than the differences read from them; the ``acceptance`` field keeps
+both runs' per-test seconds and failures for each side, and each test's
+minimum over the two.
 SIGTERM stops the script as Ctrl-C does: the running ``run.py`` is
 killed and the parent export removed.
 """
@@ -57,21 +61,44 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads((checkout / path).read_text())
 
 
+def junit_record(xml_text: str) -> dict:
+    """Per-test seconds and the failing tests of one ``--junitxml`` report."""
+    durations, failed = {}, []
+    for case in ET.fromstring(xml_text).iter("testcase"):
+        durations[case.get("name")] = float(case.get("time"))
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.append(case.get("name"))
+    return {"durations_s": durations, "failed": failed}
+
+
 def acceptance(checkout: Path) -> dict:
-    """Per-test seconds and the failing tests of one acceptance-suite run."""
+    """The :func:`junit_record` of one acceptance-suite run in ``checkout``."""
     with tempfile.TemporaryDirectory() as tmp:
         xml = Path(tmp) / "junit.xml"
         env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                         f"--junitxml={xml}", "tests/test_acceptance.py"],
                        cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=False)
-        cases = ET.parse(xml).getroot().iter("testcase")
-        durations, failed = {}, []
-        for case in cases:
-            durations[case.get("name")] = float(case.get("time"))
-            if case.find("failure") is not None or case.find("error") is not None:
-                failed.append(case.get("name"))
-    return {"durations_s": durations, "failed": failed}
+        return junit_record(xml.read_text())
+
+
+def summarize_acceptance(runs: list[tuple[str, dict]]) -> dict:
+    """Reduce acceptance runs to the ``acceptance`` field of ``BENCH_<PR>.json``.
+
+    ``runs`` holds ``(side, record)`` in the order the runs were made, each
+    record a :func:`junit_record`.  Per side: its records in that order
+    (``runs``), each test's minimum seconds over the runs that timed it
+    (``min_s``), and every test that failed in any run (``failed``).
+    """
+    out = {}
+    for side in SIDES:
+        recs = [rec for s, rec in runs if s == side]
+        names = dict.fromkeys(name for rec in recs for name in rec["durations_s"])
+        out[side] = {"runs": recs,
+                     "min_s": {name: min(rec["durations_s"][name] for rec in recs
+                                         if name in rec["durations_s"]) for name in names},
+                     "failed": sorted({name for rec in recs for name in rec["failed"]})}
+    return out
 
 
 def _spread(values: list[float]) -> dict:
@@ -151,7 +178,8 @@ def main(argv=None) -> int:
                 runs.append(run)
         result = {"pr": args.pr, "parent": rev, "run_seconds": bench["run_seconds"],
                   **summarize(runs, bench["end_to_end"]),
-                  "acceptance": {side: acceptance(checkouts[side]) for side in SIDES}}
+                  "acceptance": summarize_acceptance(
+                      [(side, acceptance(checkouts[side])) for side in SIDES + SIDES[::-1]])}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path.name}")

@@ -60,6 +60,39 @@ def test_summarize_pairs_medians_wins_and_failures():
     assert out["src_tocp_loc"] == {"parent": [2873], "change": [2850]}
 
 
+def junit(times, failed=()):
+    cases = "".join(
+        f'<testcase classname="tests.test_acceptance" name="{name}" time="{t}">'
+        + ('<failure message="boom"/>' if name in failed else "") + "</testcase>"
+        for name, t in times.items())
+    return f'<testsuites><testsuite name="pytest">{cases}</testsuite></testsuites>'
+
+
+def test_summarize_acceptance_keeps_both_runs_and_each_tests_minimum():
+    # the collector's order: parent, change, change, parent
+    reports = [("parent", junit({"test_a": 9.5, "test_b": 6.1})),
+               ("change", junit({"test_a": 10.2, "test_b": 8.0}, failed={"test_b"})),
+               ("change", junit({"test_a": 9.1, "test_b": 7.9})),
+               ("parent", junit({"test_a": 11.0, "test_b": 6.4}))]
+    runs = [(side, bench_collect.junit_record(xml)) for side, xml in reports]
+    assert runs[1][1] == {"durations_s": {"test_a": 10.2, "test_b": 8.0}, "failed": ["test_b"]}
+    out = bench_collect.summarize_acceptance(runs)
+    assert out["parent"]["runs"] == [runs[0][1], runs[3][1]]
+    assert out["change"]["runs"] == [runs[1][1], runs[2][1]]
+    assert out["parent"]["min_s"] == {"test_a": 9.5, "test_b": 6.1}
+    assert out["change"]["min_s"] == {"test_a": 9.1, "test_b": 7.9}
+    assert out["parent"]["failed"] == [] and out["change"]["failed"] == ["test_b"]
+
+
+def test_summarize_acceptance_minimum_skips_runs_without_the_test():
+    # a run that stopped early (a collection error) times fewer tests
+    runs = [("parent", bench_collect.junit_record(junit({"test_a": 3.0}))),
+            ("parent", bench_collect.junit_record(junit({"test_a": 4.0, "test_b": 2.0})))]
+    out = bench_collect.summarize_acceptance(runs)
+    assert out["parent"]["min_s"] == {"test_a": 3.0, "test_b": 2.0}
+    assert out["change"] == {"runs": [], "min_s": {}, "failed": []}
+
+
 STUB_RUN = """import os, time
 with open(os.environ["STUB_PID"], "w") as fh:
     fh.write(f"{os.getpid()}\\n{os.getcwd()}\\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,69 @@ def test_build_q_entries():
 def test_build_q_rejects_small_radius():
     with pytest.raises(ValueError):
         build_q(2, 0.3, 1)
+
+
+def reference_q(d, lam, R):
+    """Reference: the generator assembled from COO pieces, one per kind of
+    coupling and direction, converted to CSR (build_q's former assembly)."""
+    side = 2 * R + 1
+    size = side**d
+    origin = box_index((0,) * d, R)
+    idx = np.arange(size, dtype=np.int64)
+    rows, cols = [idx], [idx]
+    diag = np.full(size, -4.0 * lam * d)
+    diag[origin] = 1.0 - 2.0 * lam * d
+    vals = [diag]
+    for axis in range(d):
+        c = (idx // side**axis) % side - R
+        for sgn in (1, -1):
+            ok = np.abs(c + sgn) <= R
+            rows.append(idx[ok])
+            cols.append(idx[ok] + sgn * side**axis)
+            vals.append(np.full(ok.sum(), 2.0 * lam))
+    for tgt, count in moments._origin_pair_targets(d).items():
+        rows.append(np.array([origin]))
+        cols.append(np.array([box_index(tgt, R)]))
+        vals.append(np.array([lam * count]))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("d, R, lam", [(1, 2, 0.3), (2, 3, 0.3), (2, 6, 0.3), (3, 4, 0.9),
+                                       (5, 4, 0.3), (5, 2, 0.1)])
+def test_build_q_matches_reference_assembly(d, R, lam):
+    got, want = build_q(d, lam, R).matrix, reference_q(d, lam, R)
+    assert got.format == "csr" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.indices.dtype == np.int32
+    assert got.has_canonical_format and want.has_canonical_format
+    if lam * d == 0.5:
+        # 1 - 2 lam d rounds to 0.0 and is stored: exact_row_sums reads it
+        o = box_index((0,) * d, R)
+        row0 = slice(got.indptr[o], got.indptr[o + 1])
+        assert list(got.data[row0][got.indices[row0] == o]) == [0.0]
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_q_peak_memory_is_near_the_matrix():
+    # the former COO assembly peaked at 4.5 times the matrix here
+    build_q(5, 0.3, 4)  # first-call imports and caches stay out of the peak
+    out = []
+    peak = _traced_peak(lambda: out.append(build_q(5, 0.3, 4).matrix))
+    A = out[0]
+    assert peak <= 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def per_entry_row_sums(Q):
