@@ -616,6 +616,11 @@ def set_survival_replicas(
     supercritical runs from exploding.  Replica ``i`` reads its own time
     stream.  ``neighbors_fn(x)`` returns vertex ids, fastest as Python ints.
     """
+    return _set_survival(neighbors_fn, start_vertex, lam, t_end, n_replicas, seed, cap, n_replicas)
+
+
+def _set_survival(neighbors_fn, start_vertex, lam, t_end, n_replicas, seed, cap, stop) -> int:
+    """``min(set_survival_replicas(...), stop)``, returned once ``stop`` replicas survived."""
     _check_set_args(lam, t_end, n_replicas, "cap", cap)
     rate, p_inf = 1.0 + lam, lam / (1.0 + lam)
     survived = 0
@@ -624,6 +629,8 @@ def set_survival_replicas(
         waits, marks = _set_draws(keys, 0, 1)  # event 0 rings the start vertex alone
         done = (waits[0] / rate > t_end) | (cap == 1)
         survived += int(np.count_nonzero(done))
+        if survived >= stop:
+            return stop
         go = keys[~done & (marks[0] < p_inf)]  # only rows infected then go on
         groups = [([([start_vertex], {start_vertex}, 0.0, key) for key in go], 0)]
         while groups:  # rounds of 8, 16, 32, ... events a row
@@ -640,6 +647,8 @@ def set_survival_replicas(
                     t += e / (rate * sz)
                     if sz >= cap or t > t_end:
                         survived += 1
+                        if survived >= stop:
+                            return stop
                         break
                     r = u * sz
                     i = int(r)

@@ -229,6 +229,8 @@ def thinned_survival_indicators(
 
 @dataclass
 class CriticalBracket:
+    """A bisection bracket; ``evaluations`` holds ``(rate, survival)`` in the order run."""
+
     lo: float
     hi: float
     estimate: float
@@ -260,6 +262,11 @@ def critical_estimate(
     (verified independently in the test suite).  ``"auto"`` picks forward
     for materialized graphs and dual for :class:`LazyTree`.  Either reads
     its replicas at ``seed`` and needs at least 100 replicas.
+
+    The dual ends are decided, not run out: each stops at the smallest
+    survivor count that fixes its side of ``threshold``, and its
+    ``evaluations`` entry holds that count.  Survivors only add up, so the
+    bracket and the interior entries are those of full runs.
     """
     lo, hi = bracket
     if not (0 <= lo < hi):
@@ -274,17 +281,25 @@ def critical_estimate(
     if estimator == "forward":
         infected = _survival_curve(graph, hi, t, replicas, seed)
 
-        def survival(lam: float) -> float:
+        def survival(lam: float, stop: int = replicas) -> float:
             return int(np.count_nonzero(infected(lam))) / replicas
     else:
         nf = graph.neighbors_fn()
 
-        def survival(lam: float) -> float:
-            return engines.set_survival_replicas(nf, 0, lam, t, replicas, seed, cap=1000) / replicas
+        def survival(lam: float, stop: int = replicas) -> float:
+            return engines._set_survival(nf, 0, lam, t, replicas, seed, 1000, stop) / replicas
 
-    s_lo, s_hi = survival(lo), survival(hi)
+    def first(decides) -> int:  # the smallest count whose survival decides an end's verdict
+        return next((k for k in range(replicas + 1) if decides(k / replicas)), replicas + 1)
+
+    s_lo = survival(lo, first(lambda s: not s < threshold))
+    if not s_lo < threshold:  # a dual end that stopped early holds a lower bound
+        at_least = "at least " if estimator == "dual" else ""
+        raise ValueError(f"invalid bracket: survival {at_least}{s_lo:.4f} at {lo} "
+                         f"is not below threshold {threshold}")
+    s_hi = survival(hi, first(lambda s: threshold < s))
     evals = [(lo, s_lo), (hi, s_hi)]
-    if not (s_lo < threshold < s_hi):
+    if not threshold < s_hi:
         raise ValueError(
             f"invalid bracket: survival {s_lo:.4f} at {lo} and {s_hi:.4f} at {hi} "
             f"do not straddle threshold {threshold}"

@@ -342,6 +342,36 @@ def test_set_survival_does_not_depend_on_blocks(monkeypatch, graph, lam, cap):
         assert engines.set_survival_replicas(nf, 0, lam, 3.0, 300, seed=27, cap=cap) == want
 
 
+@pytest.mark.parametrize("graph,lam,t_end,cap", [
+    (build_torus(1, 10), 0.7, 3.0, 2000), (build_tree(3, 4), 0.8, 3.0, 20),
+    # the dual bracket's top end, with a cap that keeps one-row blocks quick
+    (LazyTree(4, 12, "full_degree"), 0.45, 20.0, 100),
+])
+def test_set_survival_stops_at_min_of_count_and_stop(monkeypatch, graph, lam, t_end, cap):
+    n = 300
+    nf = graph.neighbors_fn()
+    full = engines.set_survival_replicas(nf, 0, lam, t_end, n, seed=27, cap=cap)
+    decides = next(k for k in range(n + 1) if k / n > 0.02)  # where a top end at 0.02 stops
+    assert 1 < decides < full < n
+    if cap == 20:
+        # One row at a time, the stop-th survivor in replica order ends the run.  The second
+        # stops on its cap hit: with no cap in reach that row runs on and infects more.
+        monkeypatch.setattr(engines, "_DUAL_CELLS", 1)
+
+        def infections(c, stop):
+            infected = []
+            engines._set_survival(lambda x: infected.append(x) or nf(x), 0, lam, t_end, n, 27,
+                                  c, stop)
+            return len(infected)
+
+        extra = [infections(10**6, stop) - infections(cap, stop) for stop in (1, 2)]
+        assert extra[0] < extra[1]
+    for cells in (1, 7, 448):
+        monkeypatch.setattr(engines, "_DUAL_CELLS", cells)
+        for stop in (1, decides, full, full + 1, n):
+            assert engines._set_survival(nf, 0, lam, t_end, n, 27, cap, stop) == min(full, stop)
+
+
 @pytest.mark.parametrize("bad", [
     {"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf},
     {"lam": -0.1}, {"lam": math.nan}, {"cap": 0}, {"seed": -1}, {"seed": 2**64},

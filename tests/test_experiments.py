@@ -238,6 +238,7 @@ def test_critical_estimate_rejects_unknown_estimator(monkeypatch):
     monkeypatch.setattr(engines, "spin_replicas", evaluated)
     monkeypatch.setattr(engines, "threshold_replicas", evaluated)
     monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
+    monkeypatch.setattr(engines, "_set_survival", evaluated)  # what the dual bisection calls
     for graph in (build_torus(1, 8), LazyTree(4, 8)):
         with pytest.raises(ValueError, match="unknown estimator"):
             critical_estimate(graph, (0.1, 0.6), 4.0, 300, threshold=0.05, tol=0.1, seed=13,
@@ -250,10 +251,35 @@ def test_critical_estimate_dual_bracket_pinned():
     lz = LazyTree(4, 12, "full_degree")
     res = critical_estimate(lz, (0.12, 0.45), 20.0, 300, threshold=0.02, tol=0.03, seed=7,
                             estimator="dual")
-    assert [round(s * 300) for _, s in res.evaluations] == [0, 70, 13, 0, 5, 8]
+    # the top end stops once 7 of 300 (> 0.02) have survived, so its entry is that
+    # decided count; the full count there stays pinned below
+    assert [round(s * 300) for _, s in res.evaluations] == [0, 7, 13, 0, 5, 8]
     lams = [lam for lam, _ in res.evaluations]
     assert lams == pytest.approx([0.12, 0.45, 0.285, 0.2025, 0.24375, 0.264375], abs=1e-12)
     assert (res.lo, res.hi) == pytest.approx((0.24375, 0.264375), abs=1e-12)
+    assert engines.set_survival_replicas(lz.neighbors_fn(), 0, 0.45, 20.0, 300, 7, cap=1000) == 70
+
+
+def test_critical_estimate_dual_bottom_end_too_high_stops_before_the_top(monkeypatch):
+    rates, set_survival = [], engines._set_survival
+
+    def counted(nf, x, lam, *args):
+        rates.append(lam)
+        return set_survival(nf, x, lam, *args)
+
+    monkeypatch.setattr(engines, "_set_survival", counted)
+    lz = LazyTree(4, 12, "full_degree")
+    with pytest.raises(ValueError, match=r"survival at least 0\.0200 at 0\.3 is not below"):
+        critical_estimate(lz, (0.3, 0.45), 20.0, 300, threshold=0.02, tol=0.03, seed=7)
+    assert rates == [0.3]
+
+
+def test_critical_estimate_dual_top_end_too_low_prints_its_exact_count():
+    lz = LazyTree(4, 12, "full_degree")
+    with pytest.raises(ValueError, match="invalid bracket") as err:
+        critical_estimate(lz, (0.12, 0.24375), 20.0, 300, threshold=0.02, tol=0.03, seed=7)
+    # 5 of 300 survive at 0.24375 (the pinned bracket test reads the same count)
+    assert "0.0167 at 0.24375" in str(err.value) and "at least" not in str(err.value)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -264,6 +290,7 @@ def test_critical_estimate_rejects_bad_tol(monkeypatch, tol):
     monkeypatch.setattr(engines, "spin_replicas", evaluated)
     monkeypatch.setattr(engines, "threshold_replicas", evaluated)
     monkeypatch.setattr(engines, "set_survival_replicas", evaluated)
+    monkeypatch.setattr(engines, "_set_survival", evaluated)  # what the dual bisection calls
     for graph in (build_tree(3, 6), LazyTree(4, 8)):
         with pytest.raises(ValueError, match="tol"):
             critical_estimate(graph, (0.05, 0.9), 3.0, 200, threshold=0.2, tol=tol, seed=1)
